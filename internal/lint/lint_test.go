@@ -173,7 +173,7 @@ func TestRepoIsClean(t *testing.T) {
 func TestLoaderDiscoversModule(t *testing.T) {
 	loader := testLoader(t)
 	paths := loader.ModulePackages()
-	want := []string{"vmt", "vmt/internal/lint", "vmt/internal/sim", "vmt/cmd/vmtlint"}
+	want := []string{"vmt", "vmt/internal/lint", "vmt/internal/cluster", "vmt/cmd/vmtlint"}
 	for _, w := range want {
 		found := false
 		for _, p := range paths {

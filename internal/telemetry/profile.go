@@ -6,7 +6,7 @@ import (
 )
 
 // Per-band span profiling: wall time and allocation deltas for each
-// engine band (physics, fault, schedule, sample), with the profiler's
+// per-tick band (physics, fault, guard, schedule, sample), with the profiler's
 // own cost accounted separately so the band numbers stay honest. The
 // profiler reads the runtime's cumulative heap-allocation counter
 // (/gc/heap/allocs:bytes via runtime/metrics — no stop-the-world)
@@ -39,7 +39,7 @@ func NewBandProfiler(r *Registry) *BandProfiler {
 	return &BandProfiler{reg: r, self: r.Counter("profiler_self_ns")}
 }
 
-// Band is one profiled engine band. Bracket the band's work with
+// Band is one profiled band. Bracket the band's work with
 // Begin/End.
 type Band struct {
 	self    *Counter
@@ -53,7 +53,7 @@ type Band struct {
 }
 
 // Band returns the named band's instruments, creating the counters on
-// first use. Each Band value is owned by one goroutine (the engine's);
+// first use. Each Band value is owned by one goroutine (the session's);
 // the counters it updates are shared and atomic.
 func (p *BandProfiler) Band(name string) *Band {
 	if p == nil {

@@ -41,9 +41,10 @@ go test -count=1 -run 'TestSpecRoundTripExecute|TestSpecJSONRoundTrip' \
 echo "== stepped-vs-monolith equivalence (session golden stage)"
 # A session stepped tick-by-tick and in ragged chunks must be
 # bit-identical to the monolithic Run — the contract that lets Run be a
-# thin wrapper over Session without re-blessing any golden fixture.
+# thin wrapper over Session without re-blessing any golden fixture. A
+# cancelled run must stop on the tick boundary with nothing after it.
 go test -count=1 \
-    -run 'TestSessionStepToCompletionMatchesRun|TestSessionStepped|TestSessionHorizonBoundsSource' .
+    -run 'TestSessionStepToCompletionMatchesRun|TestSessionStepped|TestSessionHorizonBoundsSource|TestSessionCancellationStopsAtTickBoundary' .
 
 echo "== go test -race (concurrency-bearing packages)"
 go test -race ./internal/telemetry/ ./internal/cliobs/ ./internal/experiment/ \

@@ -8,7 +8,6 @@ import (
 	"vmt/internal/cluster"
 	"vmt/internal/fault"
 	"vmt/internal/sched"
-	"vmt/internal/sim"
 	"vmt/internal/stats"
 	"vmt/internal/telemetry"
 	"vmt/internal/trace"
@@ -24,12 +23,10 @@ import (
 // bit-identical to vmt.Run of the same Config — Run itself is a thin
 // wrapper that opens a session and steps it to completion.
 //
-// Session state lives here, outside internal/sim: the engine owns
-// only the event clock and its queue (which makes its chunked
-// RunUntil trivially re-entrant), while everything the paper's
-// pipeline accumulates between events — the cluster, the schedulers,
-// the partially filled Result, the latched first error — belongs to
-// the caller that wired the bands together. See DESIGN.md.
+// Time advances in fixed ticks through one band table (see runTick):
+// the clock is a tick counter, so stepping in chunks re-enters the
+// same loop at the same place, and the first latched error stops it
+// on the tick that failed. See DESIGN.md.
 //
 // A Session is not safe for concurrent use; drive it from one
 // goroutine (the vmtsim -serve mode serializes HTTP access with a
@@ -39,8 +36,8 @@ type Session struct {
 	ctx context.Context
 
 	cl        *cluster.Cluster
-	eng       *sim.Engine
 	override  *sched.Override
+	reconcile reconciler
 	grouper   hotGrouper
 	hasGroups bool
 	src       workload.JobSource
@@ -51,10 +48,37 @@ type Session struct {
 	res        *Result
 	step       time.Duration
 	horizon    time.Duration // 0 = open-ended
+	now        time.Duration
+	next       int64 // the next tick to run; tick k runs at k×step
 	lastSample cluster.Sample
 	runErr     error
 	closed     bool
+
+	// Instruments, resolved once so the bands do no map lookups; nil
+	// ones no-op. series streams cooling, power, air, melt, max CPU
+	// and (grouping policies only) hot-group size.
+	tracer     telemetry.Tracer
+	wall0      time.Time // span wall-clock origin
+	prof       [numBands]*telemetry.Band
+	dispatched *telemetry.Counter
+	runTicks   *telemetry.Counter
+	abovePMT   *telemetry.Counter
+	settled    *telemetry.Gauge
+	meltHist   *telemetry.Histogram
+	series     [6]*telemetry.TimeSeries
 }
+
+// The per-tick bands, in run order.
+const (
+	bandPhysics = iota
+	bandFault
+	bandGuard
+	bandSchedule
+	bandSample
+	numBands
+)
+
+var bandNames = [numBands]string{"physics", "fault", "guard", "schedule", "sample"}
 
 // Observation is a read-only snapshot of a session between steps —
 // the observe half of the step/observe seam. Aggregates mirror the
@@ -111,7 +135,7 @@ func Open(cfg Config) (*Session, error) {
 	return OpenCtx(context.Background(), cfg)
 }
 
-// OpenCtx is Open with cancellation: when ctx is cancelled the engine
+// OpenCtx is Open with cancellation: when ctx is cancelled the run
 // stops at the next tick boundary, the session latches ctx.Err(), and
 // Close still returns the cleanly sampled partial Result alongside
 // the error. Cancellation can only truncate a run, never change what
@@ -120,9 +144,8 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	cfg = cfg.withDefaults().withDefaultObservability()
 
@@ -206,7 +229,7 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 	}
 
 	// Fault injection: the injector interposes sensors at construction
-	// and ticks on the engine's fault band (after physics, before the
+	// and ticks on the fault band (after physics, before the
 	// scheduler). Nil plan → nil injector → zero overhead. The guard
 	// is the matching defense: whenever faults are in play it
 	// cross-checks every server's reported telemetry against power
@@ -219,337 +242,318 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 		guard = sched.NewGuard(cl, cfg.Mix, cfg.Step, cfg.Metrics)
 	}
 
-	// One sample lands per step over the horizon; preallocating the
-	// series keeps the sample phase free of append reallocations. An
-	// open-ended session grows as it goes.
+	// One sample lands per step over the horizon, the first after one
+	// elapsed step; preallocating the series keeps the sample band free
+	// of append reallocations. An open-ended session grows as it goes.
 	nSamples := 0
 	if horizon > 0 {
 		nSamples = int(horizon / cfg.Step)
 	}
+	newSeries := func() *stats.Series {
+		sr := stats.NewSeriesCap(cfg.Step, nSamples)
+		sr.Start = cfg.Step
+		return sr
+	}
 	res := &Result{
 		Config:       cfg,
-		CoolingLoadW: stats.NewSeriesCap(cfg.Step, nSamples),
-		TotalPowerW:  stats.NewSeriesCap(cfg.Step, nSamples),
-		MeanAirTempC: stats.NewSeriesCap(cfg.Step, nSamples),
-		MeanMeltFrac: stats.NewSeriesCap(cfg.Step, nSamples),
-		WaxEnergyJ:   stats.NewSeriesCap(cfg.Step, nSamples),
-		MaxCPUTempC:  stats.NewSeriesCap(cfg.Step, nSamples),
+		CoolingLoadW: newSeries(),
+		TotalPowerW:  newSeries(),
+		MeanAirTempC: newSeries(),
+		MeanMeltFrac: newSeries(),
+		WaxEnergyJ:   newSeries(),
+		MaxCPUTempC:  newSeries(),
 	}
 	grouper, hasGroups := scheduler.(hotGrouper)
 	if hasGroups {
-		res.HotGroupTempC = stats.NewSeriesCap(cfg.Step, nSamples)
-		res.HotGroupSize = stats.NewSeriesCap(cfg.Step, nSamples)
+		res.HotGroupTempC = newSeries()
+		res.HotGroupSize = newSeries()
 	}
-
-	eng := sim.NewEngine()
-	eng.Instrument(cfg.Metrics)
 
 	s := &Session{
-		cfg:       cfg,
-		ctx:       ctx,
-		cl:        cl,
-		eng:       eng,
-		override:  override,
-		grouper:   grouper,
-		hasGroups: hasGroups,
-		src:       src,
-		stream:    stream,
-		injector:  injector,
-		guard:     guard,
-		res:       res,
-		step:      cfg.Step,
-		horizon:   horizon,
+		cfg:        cfg,
+		ctx:        ctx,
+		cl:         cl,
+		override:   override,
+		reconcile:  reconcile,
+		grouper:    grouper,
+		hasGroups:  hasGroups,
+		src:        src,
+		stream:     stream,
+		injector:   injector,
+		guard:      guard,
+		res:        res,
+		step:       cfg.Step,
+		horizon:    horizon,
+		tracer:     cfg.Tracer,
+		dispatched: cfg.Metrics.Counter("sim_events_dispatched"),
+		// Thermal/PCM instruments: the fleet melt-fraction
+		// distribution and accumulated server-seconds above the wax's
+		// physical melting temperature.
+		runTicks: cfg.Metrics.Counter("run_ticks"),
+		abovePMT: cfg.Metrics.Counter("thermal_above_pmt_server_s"),
+		settled:  cfg.Metrics.Gauge("cluster_settled_servers"),
+		meltHist: cfg.Metrics.Histogram("pcm_melt_frac", telemetry.LinearBounds(0, 1, 10)...),
 	}
-	fail := s.fail
-
-	// Tracing and band profiling: span wraps a phase handler so each
-	// tick emits one span event with wall timings and the gauges args
-	// samples at close, and (with ProfileBands) brackets the handler
-	// with the band profiler so wall/alloc deltas land on the band
-	// counters and the allocation delta rides on the span event. With a
-	// nil tracer and no profiler the handler is returned untouched, so
-	// the uninstrumented hot path is unchanged.
-	tracer := cfg.Tracer
-	var profiler *telemetry.BandProfiler
+	for i, name := range []string{"cooling_load_w", "total_power_w", "mean_air_temp_c", "mean_melt_frac", "max_cpu_temp_c"} {
+		s.series[i] = cfg.Stream.Series(name)
+	}
+	if hasGroups {
+		s.series[5] = cfg.Stream.Series("hot_group_size")
+	}
+	if s.tracer != nil {
+		s.wall0 = time.Now() //vmtlint:allow detrand observational: span wall-clock origin, never read by the simulation
+	}
 	if cfg.ProfileBands {
-		profiler = telemetry.NewBandProfiler(cfg.Metrics) // nil registry → nil profiler
-	}
-	var wall0 time.Time
-	if tracer != nil {
-		wall0 = time.Now() //vmtlint:allow detrand observational: span wall-clock origin, never read by the simulation
-	}
-	span := func(name string, fn sim.Handler, args func() map[string]float64) sim.Handler {
-		if tracer == nil && profiler == nil {
-			return fn
-		}
-		band := profiler.Band(name) // nil profiler → nil band, whose methods no-op
-		return func(now time.Duration) {
-			var t0 time.Time
-			if tracer != nil {
-				t0 = time.Now() //vmtlint:allow detrand observational: span timing feeds the tracer only
-			}
-			band.Begin() //vmtlint:allow detrand observational: band profiler wall/alloc deltas feed telemetry only
-			fn(now)
-			_, alloc := band.End() //vmtlint:allow detrand observational: band profiler wall/alloc deltas feed telemetry only
-			if tracer == nil {
-				return
-			}
-			ev := telemetry.SpanEvent{
-				Name:       name,
-				At:         now,
-				WallStart:  t0.Sub(wall0),
-				Wall:       time.Since(t0), //vmtlint:allow detrand observational: span timing feeds the tracer only
-				AllocBytes: alloc,
-			}
-			if args != nil {
-				ev.Args = args()
-			}
-			tracer.Emit(ev)
-		}
-	}
-
-	// Streaming series handles, resolved once so the sample band does
-	// no map lookups. A nil Stream hands out nil series whose Observe
-	// is a no-op — the unstreamed run pays one nil check per series.
-	var (
-		stCooling = cfg.Stream.Series("cooling_load_w")
-		stPower   = cfg.Stream.Series("total_power_w")
-		stAirTemp = cfg.Stream.Series("mean_air_temp_c")
-		stMelt    = cfg.Stream.Series("mean_melt_frac")
-		stMaxCPU  = cfg.Stream.Series("max_cpu_temp_c")
-		stHotSize *telemetry.TimeSeries
-	)
-	if hasGroups {
-		stHotSize = cfg.Stream.Series("hot_group_size")
-	}
-
-	// Thermal/PCM instruments, sampled in the metrics band: the fleet
-	// melt-fraction distribution and accumulated server-seconds above
-	// the wax's physical melting temperature.
-	var (
-		meltHist  = cfg.Metrics.Histogram("pcm_melt_frac", telemetry.LinearBounds(0, 1, 10)...)
-		abovePMT  = cfg.Metrics.Counter("thermal_above_pmt_server_s")
-		runTicks  = cfg.Metrics.Counter("run_ticks")
-		settledG  = cfg.Metrics.Gauge("cluster_settled_servers")
-		pmtC      = cfg.Material.Value().MeltTempC
-		stepSecs  = uint64(cfg.Step.Seconds())
-		hasMetric = cfg.Metrics != nil
-	)
-
-	// Physics: advance the cluster by one period. Skipped at t=0 (no
-	// elapsed time yet); the scheduler places the initial load first.
-	if _, err := eng.Every(cfg.Step, cfg.Step, sim.PriorityModel, span("physics", func(time.Duration) {
-		if s.runErr != nil {
-			return
-		}
-		if done != nil {
-			select {
-			case <-done:
-				fail(ctx.Err())
-				return
-			default:
+		profiler := telemetry.NewBandProfiler(cfg.Metrics) // nil registry → nil profiler, whose bands no-op
+		for b, name := range bandNames {
+			if injector != nil || (b != bandFault && b != bandGuard) {
+				s.prof[b] = profiler.Band(name)
 			}
 		}
-		smp, err := cl.Step(cfg.Step)
-		if err != nil {
-			fail(err)
-			return
-		}
-		s.lastSample = smp
-	}, func() map[string]float64 {
-		return map[string]float64{
-			"cooling_load_w":  s.lastSample.CoolingLoadW,
-			"mean_air_temp_c": s.lastSample.MeanAirTempC,
-			"mean_melt_frac":  s.lastSample.MeanMeltFrac,
-		}
-	})); err != nil {
-		return nil, err
-	}
-
-	// Faults: crashes, repairs, and stochastic draws land between the
-	// physics settling and the scheduler's reaction, in server-ID
-	// order on the engine's single goroutine. A crash scheduled at
-	// at_min lands on the first fault tick at or after it.
-	if injector != nil {
-		if _, err := eng.Every(cfg.Step, cfg.Step, sim.PriorityFault, span("fault", func(now time.Duration) {
-			if s.runErr != nil {
-				return
-			}
-			if err := injector.Tick(now, cfg.Step); err != nil {
-				fail(err)
-			}
-		}, nil)); err != nil {
-			return nil, err
-		}
-		// The guard shares the fault band, registered after the
-		// injector so same-time events fire injector-then-guard: trust
-		// decisions are made on the tick's settled reports, before the
-		// scheduler band reads them.
-		if _, err := eng.Every(cfg.Step, cfg.Step, sim.PriorityFault, span("guard", func(now time.Duration) {
-			if s.runErr != nil {
-				return
-			}
-			guard.Tick(now)
-		}, nil)); err != nil {
-			return nil, err
-		}
-	}
-
-	// Scheduling: reconcile the job population with the source.
-	if _, err := eng.Every(0, cfg.Step, sim.PriorityScheduler, span("schedule", func(now time.Duration) {
-		if s.runErr != nil {
-			return
-		}
-		if err := reconcile.Reconcile(now); err != nil {
-			fail(err)
-		}
-	}, func() map[string]float64 {
-		args := map[string]float64{"total_power_w": s.lastSample.TotalPowerW}
-		if hasGroups {
-			args["hot_group_size"] = float64(grouper.HotGroupSize())
-		}
-		return args
-	})); err != nil {
-		return nil, err
-	}
-
-	// Metrics: sample the settled state each period (after the first
-	// physics step so the series align with elapsed intervals).
-	if _, err := eng.Every(cfg.Step, cfg.Step, sim.PriorityMetrics, span("sample", func(now time.Duration) {
-		if s.runErr != nil {
-			return
-		}
-		lastSample := s.lastSample
-		if hasMetric {
-			runTicks.Inc()
-			// How much of the fleet the physics memo is coasting
-			// through — observational only, no control decisions.
-			settledG.Set(float64(lastSample.SettledServers))
-			for i, f := range lastSample.MeltFrac {
-				meltHist.Observe(f)
-				if lastSample.AirTempC[i] >= pmtC {
-					abovePMT.Add(stepSecs)
-				}
-			}
-		}
-		res.CoolingLoadW.Append(lastSample.CoolingLoadW)
-		res.TotalPowerW.Append(lastSample.TotalPowerW)
-		res.MeanAirTempC.Append(lastSample.MeanAirTempC)
-		res.MeanMeltFrac.Append(lastSample.MeanMeltFrac)
-		res.MaxCPUTempC.Append(lastSample.MaxCPUTempC)
-		if lastSample.ThrottlingServers > 0 {
-			res.ThrottleMinutes++
-		}
-		// The cluster accumulates the fleet wax ledger during its own
-		// reduction (same ID-order sum this loop used to run).
-		res.WaxEnergyJ.Append(lastSample.WaxEnergyJ)
-		if hasGroups {
-			size := grouper.HotGroupSize()
-			res.HotGroupSize.Append(float64(size))
-			var sum float64
-			for i := 0; i < size; i++ {
-				sum += lastSample.AirTempC[i]
-			}
-			if size > 0 {
-				res.HotGroupTempC.Append(sum / float64(size))
-			} else {
-				res.HotGroupTempC.Append(lastSample.MeanAirTempC)
-			}
-		}
-		if cfg.RecordGrids {
-			air := make([]float64, len(lastSample.AirTempC))
-			copy(air, lastSample.AirTempC)
-			melt := make([]float64, len(lastSample.MeltFrac))
-			copy(melt, lastSample.MeltFrac)
-			res.AirTempGrid = append(res.AirTempGrid, air)
-			res.MeltFracGrid = append(res.MeltFracGrid, melt)
-		}
-		// Streamed telemetry: one observation per series per tick, fed
-		// into the bounded-memory window samplers. Ticks are 1-based
-		// (the first sample lands after one elapsed step).
-		if cfg.Stream != nil || cfg.Fleet != nil {
-			tick := int64(now / cfg.Step)
-			stCooling.Observe(tick, lastSample.CoolingLoadW)
-			stPower.Observe(tick, lastSample.TotalPowerW)
-			stAirTemp.Observe(tick, lastSample.MeanAirTempC)
-			stMelt.Observe(tick, lastSample.MeanMeltFrac)
-			stMaxCPU.Observe(tick, lastSample.MaxCPUTempC)
-			if hasGroups {
-				stHotSize.Observe(tick, float64(grouper.HotGroupSize()))
-			}
-			if cfg.Fleet != nil {
-				// A fresh immutable snapshot per tick: readers of the
-				// live view may hold the previous one indefinitely.
-				snap := &telemetry.FleetSnapshot{
-					Tick:         tick,
-					SimNS:        int64(now),
-					CoolingLoadW: lastSample.CoolingLoadW,
-					TotalPowerW:  lastSample.TotalPowerW,
-					Servers:      make([]telemetry.ServerState, len(lastSample.AirTempC)),
-				}
-				hot := 0
-				if hasGroups {
-					hot = grouper.HotGroupSize()
-				}
-				for i := range snap.Servers {
-					st := telemetry.ServerState{
-						ID:       i,
-						AirTempC: lastSample.AirTempC[i],
-						MeltFrac: lastSample.MeltFrac[i],
-						Crashed:  cl.Server(i).Failed(),
-					}
-					if hasGroups {
-						if i < hot {
-							st.Group = "hot"
-						} else {
-							st.Group = "cold"
-						}
-					}
-					snap.Servers[i] = st
-				}
-				cfg.Fleet.Publish(snap)
-			}
-		}
-	}, func() map[string]float64 {
-		args := map[string]float64{"max_cpu_temp_c": s.lastSample.MaxCPUTempC}
-		if n := res.WaxEnergyJ.Len(); n > 0 {
-			args["wax_energy_j"] = res.WaxEnergyJ.Values[n-1]
-		}
-		return args
-	})); err != nil {
-		return nil, err
-	}
-	res.CoolingLoadW.Start = cfg.Step
-	res.TotalPowerW.Start = cfg.Step
-	res.MeanAirTempC.Start = cfg.Step
-	res.MeanMeltFrac.Start = cfg.Step
-	res.WaxEnergyJ.Start = cfg.Step
-	res.MaxCPUTempC.Start = cfg.Step
-	if hasGroups {
-		res.HotGroupTempC.Start = cfg.Step
-		res.HotGroupSize.Start = cfg.Step
 	}
 	return s, nil
 }
 
-// fail latches the first error; later handlers see it and no-op.
+// fail latches the first error; later bands see it and do not run.
+// fail(nil) is a no-op.
 func (s *Session) fail(err error) {
 	if s.runErr == nil {
 		s.runErr = err
 	}
 }
 
+// advance runs every tick due at or before end, then settles the
+// clock at end. The first latched error stops it on the failing tick
+// with the clock left at the last tick that completed, so Tick, Now
+// and the partial Result all describe the same simulated prefix.
+func (s *Session) advance(end time.Duration) error {
+	for ; time.Duration(s.next)*s.step <= end; s.next++ {
+		s.runTick(s.next)
+		if s.runErr != nil {
+			return s.runErr
+		}
+		s.now = time.Duration(s.next) * s.step
+	}
+	s.now = end
+	return nil
+}
+
+// runTick is the band table. Tick 0 only places the initial load: no
+// time has elapsed, so there is nothing to advance or sample. Every
+// later tick checks for cancellation, advances the physics, lands
+// faults and then the guard's trust decisions (with a fault plan
+// only) on the settled state, lets the scheduler react, and samples.
+// A band that latches an error ends the tick.
+func (s *Session) runTick(k int64) {
+	now := time.Duration(k) * s.step
+	if k > 0 {
+		s.fail(s.ctx.Err())
+		s.runBand(bandPhysics, now, s.physics)
+		if s.injector != nil {
+			s.runBand(bandFault, now, s.faults)
+			s.runBand(bandGuard, now, s.guardTick)
+		}
+	}
+	s.runBand(bandSchedule, now, s.schedule)
+	if k > 0 {
+		s.runBand(bandSample, now, s.sample)
+	}
+}
+
+// runBand runs one band unless an error is latched, counting it on
+// sim_events_dispatched. With a tracer or band profiling it also
+// emits the band's span and wall/alloc deltas; without either the
+// band runs bare.
+func (s *Session) runBand(b int, now time.Duration, fn func(time.Duration) error) {
+	if s.runErr != nil {
+		return
+	}
+	s.dispatched.Inc()
+	prof := s.prof[b]
+	if s.tracer == nil && prof == nil {
+		s.fail(fn(now))
+		return
+	}
+	var t0 time.Time
+	if s.tracer != nil {
+		t0 = time.Now() //vmtlint:allow detrand observational: span timing feeds the tracer only
+	}
+	prof.Begin() //vmtlint:allow detrand observational: band profiler wall/alloc deltas feed telemetry only
+	s.fail(fn(now))
+	_, alloc := prof.End() //vmtlint:allow detrand observational: band profiler wall/alloc deltas feed telemetry only
+	if s.tracer == nil {
+		return
+	}
+	s.tracer.Emit(telemetry.SpanEvent{
+		Name:       bandNames[b],
+		At:         now,
+		WallStart:  t0.Sub(s.wall0),
+		Wall:       time.Since(t0), //vmtlint:allow detrand observational: span timing feeds the tracer only
+		AllocBytes: alloc,
+		Args:       s.spanArgs(b),
+	})
+}
+
+// spanArgs returns the gauges a band's span samples at close.
+func (s *Session) spanArgs(b int) map[string]float64 {
+	last := s.lastSample
+	switch b {
+	case bandPhysics:
+		return map[string]float64{
+			"cooling_load_w":  last.CoolingLoadW,
+			"mean_air_temp_c": last.MeanAirTempC,
+			"mean_melt_frac":  last.MeanMeltFrac,
+		}
+	case bandSchedule:
+		args := map[string]float64{"total_power_w": last.TotalPowerW}
+		if s.hasGroups {
+			args["hot_group_size"] = float64(s.grouper.HotGroupSize())
+		}
+		return args
+	case bandSample:
+		args := map[string]float64{"max_cpu_temp_c": last.MaxCPUTempC}
+		if n := s.res.WaxEnergyJ.Len(); n > 0 {
+			args["wax_energy_j"] = s.res.WaxEnergyJ.Values[n-1]
+		}
+		return args
+	}
+	return nil
+}
+
+// physics advances the cluster by one period.
+func (s *Session) physics(time.Duration) error {
+	smp, err := s.cl.Step(s.step)
+	if err != nil {
+		return err
+	}
+	s.lastSample = smp
+	return nil
+}
+
+// faults lands crashes, repairs, and stochastic draws between the
+// physics settling and the scheduler's reaction, in server-ID order.
+// A crash scheduled at at_min lands on the first tick at or after it.
+func (s *Session) faults(now time.Duration) error {
+	return s.injector.Tick(now, s.step)
+}
+
+// guardTick makes trust decisions on the tick's settled reports,
+// after the injector and before the scheduler reads them.
+func (s *Session) guardTick(now time.Duration) error {
+	s.guard.Tick(now)
+	return nil
+}
+
+// schedule reconciles the job population with the source.
+func (s *Session) schedule(now time.Duration) error {
+	return s.reconcile.Reconcile(now)
+}
+
+// sample records the settled state of tick now/step.
+func (s *Session) sample(now time.Duration) error {
+	last, res := s.lastSample, s.res
+	if s.cfg.Metrics != nil {
+		s.runTicks.Inc()
+		// How much of the fleet the physics memo is coasting
+		// through — observational only, no control decisions.
+		s.settled.Set(float64(last.SettledServers))
+		pmtC, stepSecs := s.cfg.Material.Value().MeltTempC, uint64(s.step.Seconds())
+		for i, f := range last.MeltFrac {
+			s.meltHist.Observe(f)
+			if last.AirTempC[i] >= pmtC {
+				s.abovePMT.Add(stepSecs)
+			}
+		}
+	}
+	res.CoolingLoadW.Append(last.CoolingLoadW)
+	res.TotalPowerW.Append(last.TotalPowerW)
+	res.MeanAirTempC.Append(last.MeanAirTempC)
+	res.MeanMeltFrac.Append(last.MeanMeltFrac)
+	res.MaxCPUTempC.Append(last.MaxCPUTempC)
+	if last.ThrottlingServers > 0 {
+		res.ThrottleMinutes++
+	}
+	// The cluster accumulates the fleet wax ledger during its own
+	// reduction (same ID-order sum this loop used to run).
+	res.WaxEnergyJ.Append(last.WaxEnergyJ)
+	hot := 0
+	if s.hasGroups {
+		hot = s.grouper.HotGroupSize()
+		res.HotGroupSize.Append(float64(hot))
+		var sum float64
+		for i := 0; i < hot; i++ {
+			sum += last.AirTempC[i]
+		}
+		if hot > 0 {
+			res.HotGroupTempC.Append(sum / float64(hot))
+		} else {
+			res.HotGroupTempC.Append(last.MeanAirTempC)
+		}
+	}
+	if s.cfg.RecordGrids {
+		res.AirTempGrid = append(res.AirTempGrid, append([]float64(nil), last.AirTempC...))
+		res.MeltFracGrid = append(res.MeltFracGrid, append([]float64(nil), last.MeltFrac...))
+	}
+	// Streamed telemetry: one observation per series per tick, fed
+	// into the bounded-memory window samplers. Ticks are 1-based
+	// (the first sample lands after one elapsed step).
+	if s.cfg.Stream == nil && s.cfg.Fleet == nil {
+		return nil
+	}
+	tick := int64(now / s.step)
+	for i, v := range [...]float64{last.CoolingLoadW, last.TotalPowerW, last.MeanAirTempC,
+		last.MeanMeltFrac, last.MaxCPUTempC, float64(hot)} {
+		s.series[i].Observe(tick, v)
+	}
+	if s.cfg.Fleet == nil {
+		return nil
+	}
+	// A fresh immutable snapshot per tick: readers of the live view
+	// may hold the previous one indefinitely.
+	snap := &telemetry.FleetSnapshot{
+		Tick:         tick,
+		SimNS:        int64(now),
+		CoolingLoadW: last.CoolingLoadW,
+		TotalPowerW:  last.TotalPowerW,
+		Servers:      make([]telemetry.ServerState, len(last.AirTempC)),
+	}
+	for i := range snap.Servers {
+		snap.Servers[i] = telemetry.ServerState{
+			ID:       i,
+			AirTempC: last.AirTempC[i],
+			MeltFrac: last.MeltFrac[i],
+			Crashed:  s.cl.Server(i).Failed(),
+			Group:    groupLabel(s.hasGroups, i, hot),
+		}
+	}
+	s.cfg.Fleet.Publish(snap)
+	return nil
+}
+
+// groupLabel names server i's placement group: "hot" for the first
+// hot servers under a grouping policy, "cold" for the rest, and ""
+// when the policy does not group.
+func groupLabel(grouped bool, i, hot int) string {
+	switch {
+	case !grouped:
+		return ""
+	case i < hot:
+		return "hot"
+	}
+	return "cold"
+}
+
 // Tick returns the number of completed steps.
-func (s *Session) Tick() int64 { return int64(s.eng.Now() / s.step) }
+func (s *Session) Tick() int64 { return int64(s.now / s.step) }
 
 // Now returns the session's simulated time.
-func (s *Session) Now() time.Duration { return s.eng.Now() }
+func (s *Session) Now() time.Duration { return s.now }
 
 // Done reports whether a finite-horizon session has reached its end.
 // Open-ended sessions (an open-loop Source with no Horizon) are never
 // done.
 func (s *Session) Done() bool {
-	return s.horizon > 0 && s.eng.Now() >= s.horizon
+	return s.horizon > 0 && s.now >= s.horizon
 }
 
 // Step advances the session n ticks (clamped to the horizon, when
@@ -567,24 +571,21 @@ func (s *Session) Step(n int) error {
 	if s.runErr != nil {
 		return s.runErr
 	}
-	target := s.eng.Now() + time.Duration(n)*s.step
+	target := s.now + time.Duration(n)*s.step
 	if s.horizon > 0 && target > s.horizon {
 		target = s.horizon
 	}
-	if err := s.eng.RunUntil(target); err != nil {
-		s.fail(err)
+	if err := s.advance(target); err != nil {
 		return err
-	}
-	if s.runErr != nil {
-		return s.runErr
 	}
 	s.cfg.Stream.SealThrough(s.Tick())
 	return nil
 }
 
-// StepAll advances a finite-horizon session to its end in one engine
-// pass — exactly the monolithic Run loop, so Run-over-Session keeps
-// every golden fixture byte-identical and pays no per-step overhead.
+// StepAll advances a finite-horizon session to its end in one pass of
+// the tick loop — exactly the monolithic Run loop, so Run-over-Session
+// keeps every golden fixture byte-identical and pays no per-step
+// overhead.
 func (s *Session) StepAll() error {
 	if s.closed {
 		return fmt.Errorf("vmt: session is closed")
@@ -595,11 +596,7 @@ func (s *Session) StepAll() error {
 	if s.runErr != nil {
 		return s.runErr
 	}
-	if err := s.eng.RunUntil(s.horizon); err != nil {
-		s.fail(err)
-		return err
-	}
-	return s.runErr
+	return s.advance(s.horizon)
 }
 
 // Observe snapshots the session's externally visible state. Slices
@@ -608,9 +605,9 @@ func (s *Session) Observe() Observation {
 	last := s.lastSample
 	obs := Observation{
 		Tick:                 s.Tick(),
-		SimTime:              s.eng.Now(),
+		SimTime:              s.now,
 		Done:                 s.Done(),
-		Utilization:          s.src.At(s.eng.Now()),
+		Utilization:          s.src.At(s.now),
 		CoolingLoadW:         last.CoolingLoadW,
 		TotalPowerW:          last.TotalPowerW,
 		MeanAirTempC:         last.MeanAirTempC,
@@ -634,22 +631,15 @@ func (s *Session) Observe() Observation {
 	}
 	for i := range obs.Servers {
 		srv := s.cl.Server(i)
-		so := ServerObservation{
+		obs.Servers[i] = ServerObservation{
 			ID:        i,
 			AirTempC:  last.AirTempC[i],
 			MeltFrac:  last.MeltFrac[i],
 			FreeCores: srv.FreeCores(),
 			BusyCores: srv.BusyCores(),
 			Crashed:   srv.Failed(),
+			Group:     groupLabel(s.hasGroups, i, obs.HotGroupSize),
 		}
-		if s.hasGroups {
-			if i < obs.HotGroupSize {
-				so.Group = "hot"
-			} else {
-				so.Group = "cold"
-			}
-		}
-		obs.Servers[i] = so
 	}
 	return obs
 }

@@ -60,6 +60,11 @@ func TestSessionObserve(t *testing.T) {
 	if obs.Tick != 0 || obs.Done || len(obs.Servers) != 0 {
 		t.Fatalf("pre-step observation: %+v", obs)
 	}
+	// Open places nothing: the initial load lands on the first step,
+	// so pre-step Place and SetPlacer still steer it.
+	if obs.BusyCores != 0 {
+		t.Fatalf("pre-step observation has %d busy cores", obs.BusyCores)
+	}
 	if err := s.Step(3); err != nil {
 		t.Fatal(err)
 	}
@@ -237,6 +242,9 @@ func TestSessionCancellationPartialResult(t *testing.T) {
 	if err != context.Canceled {
 		t.Fatalf("step after cancel: %v", err)
 	}
+	if s.Tick() != 2 {
+		t.Fatalf("clock after cancelled step: tick %d, want 2", s.Tick())
+	}
 	res, err := s.Close()
 	if err != context.Canceled {
 		t.Fatalf("close after cancel: %v", err)
@@ -251,6 +259,108 @@ func TestSessionCancellationPartialResult(t *testing.T) {
 	}
 	if _, err := s.Close(); err != context.Canceled {
 		t.Fatalf("second close: %v", err)
+	}
+}
+
+// TestSessionCancellationStopsAtTickBoundary: a cancel that lands in
+// the middle of StepAll stops the run at the next tick boundary. The
+// clock, the partial Result, the span stream and the band counter all
+// end on the last completed tick; no band runs after it.
+func TestSessionCancellationStopsAtTickBoundary(t *testing.T) {
+	const stopTick = 5
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := sessionConfig()
+	stopAt := stopTick * cfg.Step
+	rec := telemetry.NewRecorder()
+	cfg.Tracer = telemetry.TracerFunc(func(ev telemetry.SpanEvent) {
+		rec.Emit(ev)
+		if ev.Name == "sample" && ev.At == stopAt {
+			cancel()
+		}
+	})
+	cfg.Metrics = telemetry.NewRegistry()
+	s, err := OpenCtx(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StepAll(); err != context.Canceled {
+		t.Fatalf("StepAll after cancel: %v", err)
+	}
+	if s.Tick() != stopTick || s.Now() != stopAt || s.Done() {
+		t.Fatalf("clock after cancel: tick=%d now=%v done=%v, want tick %d at %v",
+			s.Tick(), s.Now(), s.Done(), stopTick, stopAt)
+	}
+	res, err := s.Close()
+	if err != context.Canceled {
+		t.Fatalf("close after cancel: %v", err)
+	}
+	if res.CoolingLoadW.Len() != stopTick {
+		t.Fatalf("partial result has %d samples, want %d", res.CoolingLoadW.Len(), stopTick)
+	}
+	for _, ev := range rec.Events() {
+		if ev.At > stopAt {
+			t.Fatalf("span %q at %v after the cancelled tick %v", ev.Name, ev.At, stopAt)
+		}
+	}
+	// schedule@0, then physics, schedule and sample per completed tick.
+	if got, want := cfg.Metrics.Counter("sim_events_dispatched").Value(), uint64(1+3*stopTick); got != want {
+		t.Fatalf("sim_events_dispatched = %d, want %d", got, want)
+	}
+}
+
+// TestSessionRaggedHorizon characterizes a horizon that is not a
+// whole number of steps: the last tick lands before it, the clock then
+// settles on the horizon itself, and stepping or running to the end
+// agree on every count.
+func TestSessionRaggedHorizon(t *testing.T) {
+	cfg := sessionConfig()
+	cfg.Horizon = 41 * time.Minute // 20 whole 2-minute ticks, then 1 minute
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StepAll(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Tick() != 20 || s.Now() != cfg.Horizon || !s.Done() {
+		t.Fatalf("after StepAll: tick=%d now=%v done=%v", s.Tick(), s.Now(), s.Done())
+	}
+	want, err := s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.CoolingLoadW.Len() != 20 {
+		t.Fatalf("StepAll recorded %d samples, want 20", want.CoolingLoadW.Len())
+	}
+
+	s, err = Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 20; i++ {
+		if err := s.Step(1); err != nil {
+			t.Fatal(err)
+		}
+		if s.Tick() != int64(i) || s.Now() != time.Duration(i)*cfg.Step || s.Done() {
+			t.Fatalf("step %d: tick=%d now=%v done=%v", i, s.Tick(), s.Now(), s.Done())
+		}
+	}
+	// The 21st step covers the trailing minute: no tick is due in it.
+	for i := 0; i < 2; i++ {
+		if err := s.Step(1); err != nil {
+			t.Fatal(err)
+		}
+		if s.Tick() != 20 || s.Now() != cfg.Horizon || !s.Done() {
+			t.Fatalf("trailing step: tick=%d now=%v done=%v", s.Tick(), s.Now(), s.Done())
+		}
+	}
+	got, err := s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := identicalSeries(want, got); d != "" {
+		t.Fatalf("stepped ragged-horizon session diverged from StepAll: %s", d)
 	}
 }
 

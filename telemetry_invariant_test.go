@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
+	"time"
 
 	"vmt/internal/telemetry"
 )
@@ -279,5 +280,53 @@ func TestDefaultObservabilityAppliesToRuns(t *testing.T) {
 	}
 	if reg.Counter("sim_events_dispatched").Value() != before {
 		t.Fatal("default registry should not see a run with its own registry")
+	}
+}
+
+// TestBandTableDispatchCount pins the per-tick band table by count and
+// order on completed runs: schedule alone at tick 0, then physics,
+// schedule and sample on every later tick, with fault and guard
+// between physics and schedule whenever a fault plan is configured.
+// sim_events_dispatched counts one per band run.
+func TestBandTableDispatchCount(t *testing.T) {
+	faulted := faultScenario(PolicyVMTTA)
+	faulted.Step = sessionConfig().Step
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		bands []string
+		want  uint64
+	}{
+		{"fault-free", sessionConfig(), []string{"physics", "schedule", "sample"}, 2161},
+		{"faulted", faulted, []string{"physics", "fault", "guard", "schedule", "sample"}, 3601},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Metrics = telemetry.NewRegistry()
+			rec := telemetry.NewRecorder()
+			cfg.Tracer = rec
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ticks := uint64(res.CoolingLoadW.Len())
+			got := cfg.Metrics.Counter("sim_events_dispatched").Value()
+			if got != tc.want || got != 1+uint64(len(tc.bands))*ticks {
+				t.Fatalf("sim_events_dispatched = %d over %d ticks, want %d", got, ticks, tc.want)
+			}
+			evs := rec.Events()
+			if uint64(len(evs)) != got {
+				t.Fatalf("%d spans for %d band runs", len(evs), got)
+			}
+			if evs[0].Name != "schedule" || evs[0].At != 0 {
+				t.Fatalf("first span %q at %v, want schedule at 0", evs[0].Name, evs[0].At)
+			}
+			for i, ev := range evs[1:] {
+				k := i / len(tc.bands)
+				if want, at := tc.bands[i%len(tc.bands)], time.Duration(k+1)*cfg.Step; ev.Name != want || ev.At != at {
+					t.Fatalf("span %d is %q at %v, want %q at %v", i+1, ev.Name, ev.At, want, at)
+				}
+			}
+		})
 	}
 }

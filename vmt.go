@@ -144,10 +144,10 @@ type Config struct {
 	// in the run-cache key. Nil injects nothing and leaves the hot
 	// path untouched.
 	Faults *fault.Plan
-	// Metrics, when non-nil, receives run instrumentation: engine
-	// dispatch counts and per-band wall time, scheduler placements and
-	// hot-group resizes, the fleet melt-fraction histogram, and
-	// time-above-PMT. Telemetry is strictly observational — results
+	// Metrics, when non-nil, receives run instrumentation: band-run
+	// counts (plus per-band wall time with ProfileBands), scheduler
+	// placements and hot-group resizes, the fleet melt-fraction
+	// histogram, and time-above-PMT. Telemetry is strictly observational — results
 	// are bit-identical with or without it. Safe to share one registry
 	// across RunMany workers.
 	Metrics *telemetry.Registry
@@ -174,8 +174,8 @@ type Config struct {
 	// sink writes the NDJSON fleet log vmtdiff replays to find the
 	// first divergent tick between two runs. Strictly observational.
 	Fleet *telemetry.FleetPublisher
-	// ProfileBands, when true and Metrics is set, profiles each engine
-	// band (physics, fault, schedule, sample): wall time and heap
+	// ProfileBands, when true and Metrics is set, profiles each per-tick
+	// band (physics, fault, guard, schedule, sample): wall time and heap
 	// allocation deltas land on band_wall_ns_*/band_alloc_bytes_*/
 	// band_spans_* counters, with the profiler's own cost separated
 	// into profiler_self_ns, and allocation deltas attach to trace
@@ -358,13 +358,13 @@ type reconciler interface {
 	Evacuate(*cluster.Server) (moved, lost int, err error)
 }
 
-// RunCtx is Run with cancellation: when ctx is cancelled the engine
+// RunCtx is Run with cancellation: when ctx is cancelled the run
 // stops at the next tick boundary and the run returns ctx.Err(). The
 // result is still deterministic when it completes — cancellation can
 // only abort a run, never change what a completed run returns.
 //
 // RunCtx is a thin wrapper over Session: it opens one, steps it to
-// the horizon in a single engine pass, and closes it — so batch runs
+// the horizon in a single pass of its tick loop, and closes it — so batch runs
 // and stepped sessions share every line of the pipeline, and the
 // wrapper adds no per-tick work.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
