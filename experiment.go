@@ -196,8 +196,8 @@ func RunCache() *experiment.Cache { return runCache }
 // and intra-batch-duplicate configurations are answered without
 // simulating, and fresh results are stored for the rest of the
 // process. Cache traffic lands on the "experiment_cache_hits" /
-// "experiment_cache_misses" counters of opts.Metrics (or the process
-// default registry). Like RunManyOpts, a failure is reported as a
+// "experiment_cache_misses" counters of the process default registry
+// (see SetDefaultObservers). Like RunManyOpts, a failure is reported as a
 // *RunError carrying the index into cfgs, with results at all other
 // indices still populated.
 func RunManyCached(cfgs []Config, opts BatchOptions) ([]*Result, error) {
@@ -211,12 +211,7 @@ func RunManyCached(cfgs []Config, opts BatchOptions) ([]*Result, error) {
 	}
 	plan := runCache.Plan(keys)
 
-	metrics := opts.Metrics
-	if metrics == nil {
-		obsMu.RLock()
-		metrics = defaultMetrics
-		obsMu.RUnlock()
-	}
+	metrics := defaultObservers().Metrics
 	metrics.Counter("experiment_cache_hits").Add(uint64(len(cfgs) - plan.Misses()))
 	metrics.Counter("experiment_cache_misses").Add(uint64(plan.Misses()))
 	if n := plan.Corrupt(); n > 0 {

@@ -85,6 +85,8 @@ func TestRunManyCachedDedup(t *testing.T) {
 	runCache.SetEnabled(true)
 
 	reg := telemetry.NewRegistry()
+	SetDefaultObservers(Observers{Metrics: reg})
+	defer SetDefaultObservers(Observers{})
 	cfg := BaselineScenario(3)
 	cfg.Trace = smallTrace()
 	vmtCfg := Scenario(3, PolicyVMTTA, 22)
@@ -95,7 +97,7 @@ func TestRunManyCachedDedup(t *testing.T) {
 	cfg.Seed = 777
 	vmtCfg.Seed = 777
 
-	runs, err := RunManyCached([]Config{cfg, vmtCfg, cfg}, BatchOptions{Metrics: reg})
+	runs, err := RunManyCached([]Config{cfg, vmtCfg, cfg}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func TestRunManyCachedDedup(t *testing.T) {
 
 	// Second batch: everything is cached, and cached results are the
 	// same pointers.
-	runs2, err := RunManyCached([]Config{cfg, vmtCfg}, BatchOptions{Metrics: reg})
+	runs2, err := RunManyCached([]Config{cfg, vmtCfg}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

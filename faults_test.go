@@ -439,14 +439,16 @@ func TestCacheCorruptionQuarantine(t *testing.T) {
 	cfg := BaselineScenario(4)
 	cfg.Trace = smallTrace()
 	reg := telemetry.NewRegistry()
-	first, err := RunManyCached([]Config{cfg}, BatchOptions{Metrics: reg})
+	SetDefaultObservers(Observers{Metrics: reg})
+	defer SetDefaultObservers(Observers{})
+	first, err := RunManyCached([]Config{cfg}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := first[0].CoolingLoadW.Values[0]
 	// Scribble on the shared cached result.
 	first[0].CoolingLoadW.Values[0] = good + 1
-	second, err := RunManyCached([]Config{cfg}, BatchOptions{Metrics: reg})
+	second, err := RunManyCached([]Config{cfg}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +465,7 @@ func TestCacheCorruptionQuarantine(t *testing.T) {
 		t.Fatalf("experiment_cache_corruptions = %d, want 1", got)
 	}
 	// The recomputed entry replaced the quarantined one.
-	third, err := RunManyCached([]Config{cfg}, BatchOptions{Metrics: reg})
+	third, err := RunManyCached([]Config{cfg}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,18 +82,20 @@ type Cluster struct {
 	// per-server heap pointers.
 	ests []pcm.Estimator
 	reg  *registry
-	// workers is the resolved physics worker count (≥1; 1 = serial).
+	// workers is the resolved physics worker count (≥1).
 	workers int
 	// Per-server scratch reused across Steps so the steady-state
 	// physics path allocates nothing. stepPow carries each server's
 	// draw into the fleet kernel; airBuf/meltBuf back the Sample
 	// snapshots; chunkIdx/chunkErr carry each worker chunk's first
-	// failure to the sequential reduction.
+	// failure to the sequential reduction, and chunkWG waits for the
+	// chunks (a field, so a one-worker Step does not heap-allocate it).
 	stepPow  []float64
 	airBuf   []float64
 	meltBuf  []float64
 	chunkIdx []int
 	chunkErr []error
+	chunkWG  sync.WaitGroup
 	// failedCount tracks crashed servers (fault injection) so the
 	// schedulers' alive-prefix sizing can skip the scan when zero.
 	failedCount int
@@ -367,34 +369,25 @@ func (c *Cluster) Step(dt time.Duration) (Sample, error) {
 	return sample, nil
 }
 
-// physBlock is the cache-blocking granularity of the parallel physics
-// path: each worker walks its chunk in blocks of this many servers,
-// running the physics step and then the estimator pass over the same
-// block while its air-temperature column is still cache-resident. The
-// serial path deliberately stays the plain two-pass loop over the
-// plain kernel — it is the readable reference implementation, in the
-// same spirit as the scalar Node oracle; the blocked path uses the
-// substep-major thermal.Fleet.StepRangeVec kernel (bit-identical by
-// construction and by the worker-count property tests).
+// physBlock is the cache-blocking granularity of the physics pass:
+// each worker walks its chunk in blocks of this many servers, running
+// the substep-major thermal.Fleet.StepRangeVec kernel and then the
+// estimator pass over the same block while its air-temperature column
+// is still cache-resident.
 const physBlock = 2048
 
 // stepPhysics advances the fleet store by dt and feeds each server's
-// estimator the post-step air temperature — serially, or fanned out
-// over disjoint contiguous ID ranges. Per-server outcomes land in the
-// fleet's slices either way, and the per-server arithmetic is
-// range-independent, so results are bit-identical at any worker count.
-// On error, the lowest-ID failure is reported; servers before it have
-// committed their step, servers after it in the same chunk have not
-// (earlier blocks of a failed chunk have committed both passes).
+// estimator the post-step air temperature, split over PhysicsWorkers
+// disjoint contiguous ID ranges. The first range runs on the calling
+// goroutine and each other range on its own, so one worker spawns
+// none. Per-server outcomes land in the fleet's slices, and the
+// per-server arithmetic is range-independent, so results are
+// bit-identical at any worker count. On error, the lowest-ID failure
+// is reported; servers before it have committed their step, servers
+// after it in the same chunk have not (earlier blocks of a failed
+// chunk have committed both passes).
 func (c *Cluster) stepPhysics(dt time.Duration) error {
 	n := len(c.servers)
-	if c.workers <= 1 {
-		if idx, err := c.fleet.StepRange(0, n, c.stepPow, dt); err != nil {
-			return fmt.Errorf("cluster: server %d: %w", idx, err)
-		}
-		c.updateEstimators(0, n, dt)
-		return nil
-	}
 	chunk := (n + c.workers - 1) / c.workers
 	c.chunkIdx = c.chunkIdx[:0]
 	c.chunkErr = c.chunkErr[:0]
@@ -402,30 +395,15 @@ func (c *Cluster) stepPhysics(dt time.Duration) error {
 		c.chunkIdx = append(c.chunkIdx, n)
 		c.chunkErr = append(c.chunkErr, nil)
 	}
-	var wg sync.WaitGroup
-	for w, lo := 0, 0; lo < n; w, lo = w+1, lo+chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for b := lo; b < hi; b += physBlock {
-				e := b + physBlock
-				if e > hi {
-					e = hi
-				}
-				idx, err := c.fleet.StepRangeVec(b, e, c.stepPow, dt)
-				if err != nil {
-					c.chunkIdx[w], c.chunkErr[w] = idx, err
-					return
-				}
-				c.updateEstimators(b, e, dt)
-			}
-		}(w, lo, hi)
+	for w, lo := 1, chunk; lo < n; w, lo = w+1, lo+chunk {
+		c.chunkWG.Add(1)
+		go func(w, lo int) {
+			defer c.chunkWG.Done()
+			c.stepChunk(w, lo, min(lo+chunk, n), dt)
+		}(w, lo)
 	}
-	wg.Wait()
+	c.stepChunk(0, 0, min(chunk, n), dt)
+	c.chunkWG.Wait()
 	// Report the lowest-ID failure, matching the ID-order error
 	// precedence of the old per-server reduction.
 	first, firstIdx := error(nil), n
@@ -438,6 +416,20 @@ func (c *Cluster) stepPhysics(dt time.Duration) error {
 		return fmt.Errorf("cluster: server %d: %w", firstIdx, first)
 	}
 	return nil
+}
+
+// stepChunk runs chunk w, servers [lo,hi), block by block, recording
+// the chunk's first failure in chunkIdx[w]/chunkErr[w].
+func (c *Cluster) stepChunk(w, lo, hi int, dt time.Duration) {
+	for b := lo; b < hi; b += physBlock {
+		e := min(b+physBlock, hi)
+		idx, err := c.fleet.StepRangeVec(b, e, c.stepPow, dt)
+		if err != nil {
+			c.chunkIdx[w], c.chunkErr[w] = idx, err
+			return
+		}
+		c.updateEstimators(b, e, dt)
+	}
 }
 
 // updateEstimators feeds servers [lo,hi) their post-step air

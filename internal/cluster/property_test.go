@@ -123,8 +123,10 @@ func TestFleetStoreInvariants(t *testing.T) {
 
 // The fan-out must stay invisible at fleet scale: N=100k servers with
 // PhysicsWorkers 1/2/4/8/16 — plus 7, whose uneven chunks exercise the
-// boundary arithmetic — produce bit-identical per-server state. Load
-// varies per server so a chunk-offset bug cannot cancel out.
+// boundary arithmetic — produce per-server state bit-identical to the
+// plain two-pass reference: Fleet.StepRange over the whole fleet, then
+// every server's estimator update. Load varies per server so a
+// chunk-offset bug cannot cancel out.
 func TestStepPhysicsWorkersBitIdenticalAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-server fleet comparison is a long test")
@@ -146,15 +148,19 @@ func TestStepPhysicsWorkersBitIdenticalAtScale(t *testing.T) {
 		return c
 	}
 	ref := build()
-	ref.SetPhysicsWorkers(1)
+	pow := make([]float64, n)
+	for i := range pow {
+		pow[i] = ref.Server(i).PowerW()
+	}
 	const steps = 3
 	for step := 0; step < steps; step++ {
-		if _, err := ref.Step(time.Minute); err != nil {
-			t.Fatal(err)
+		if idx, err := ref.Fleet().StepRange(0, n, pow, time.Minute); err != nil {
+			t.Fatalf("reference step: server %d: %v", idx, err)
 		}
+		ref.updateEstimators(0, n, time.Minute)
 	}
 	refV := ref.Fleet().View()
-	for _, workers := range []int{2, 4, 7, 8, 16} {
+	for _, workers := range []int{1, 2, 4, 7, 8, 16} {
 		c := build()
 		c.SetPhysicsWorkers(workers)
 		var sample Sample
@@ -173,7 +179,11 @@ func TestStepPhysicsWorkersBitIdenticalAtScale(t *testing.T) {
 				math.Float64bits(refV.MeltFrac[i]) != math.Float64bits(v.MeltFrac[i]) ||
 				math.Float64bits(refV.CoolingLoadW[i]) != math.Float64bits(v.CoolingLoadW[i]) ||
 				math.Float64bits(refV.WaxStoredJ[i]) != math.Float64bits(v.WaxStoredJ[i]) {
-				t.Fatalf("workers=%d: server %d diverged from workers=1", workers, i)
+				t.Fatalf("workers=%d: server %d diverged from the plain reference", workers, i)
+			}
+			if a, b := ref.Server(i).est, c.Server(i).est; math.Float64bits(a.MeltFrac()) != math.Float64bits(b.MeltFrac()) ||
+				math.Float64bits(a.TempC()) != math.Float64bits(b.TempC()) || a.Updates() != b.Updates() {
+				t.Fatalf("workers=%d: server %d estimator diverged from the plain reference", workers, i)
 			}
 		}
 	}

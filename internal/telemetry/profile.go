@@ -39,8 +39,12 @@ func NewBandProfiler(r *Registry) *BandProfiler {
 	return &BandProfiler{reg: r, self: r.Counter("profiler_self_ns")}
 }
 
-// Band is one profiled band. Bracket the band's work with
-// Begin/End.
+// Band is one timed band: the single clock behind both a band's
+// trace span and its profiler counters. Bracket the band's work with
+// Begin/End. A Band from BandProfiler.Band also reads the allocation
+// counter and updates band_wall_ns_<band>, band_alloc_bytes_<band> and
+// band_spans_<band>; the zero Band only times the span (tracing
+// without profiling), and its counters stay nil.
 type Band struct {
 	self    *Counter
 	wall    *Counter
@@ -69,34 +73,43 @@ func (p *BandProfiler) Band(name string) *Band {
 	return b
 }
 
-// Begin starts a span: it records the profiler's own entry cost into
-// profiler_self_ns and arms the wall/alloc cursors. Nil-safe.
-func (b *Band) Begin() {
+// Begin starts a span and returns its wall-clock start. A profiled
+// band first reads the allocation counter and bills that read to
+// profiler_self_ns. Nil-safe (a nil band returns the zero time).
+func (b *Band) Begin() time.Time {
 	if b == nil {
-		return
+		return time.Time{}
+	}
+	b.started = true
+	if b.wall == nil {
+		b.t0 = time.Now()
+		return b.t0
 	}
 	entry := time.Now()
 	metrics.Read(b.sample[:])
 	b.a0 = b.sample[0].Value.Uint64()
-	b.started = true
 	// The wall cursor is armed last so the band is not billed for the
 	// profiler's own metric read; the gap is self-overhead.
 	b.t0 = time.Now()
 	b.self.Add(uint64(b.t0.Sub(entry)))
+	return b.t0
 }
 
-// End closes the span, adds the wall/alloc deltas to the band's
-// counters, and returns them so a tracer can attach the allocation
-// delta to its span event. Nil-safe; End without Begin records
-// nothing.
+// End closes the span and returns its wall and allocation deltas, the
+// same numbers a profiled band adds to its counters, so a tracer's
+// span and the profiler can never disagree. The zero Band reports no
+// allocation. Nil-safe; End without Begin records nothing.
 func (b *Band) End() (wallNS, allocBytes uint64) {
 	if b == nil || !b.started {
 		return 0, 0
 	}
 	b.started = false
 	// Wall delta first — everything after this line is self-overhead.
-	wallNS = uint64(time.Since(b.t0))
-	selfStart := time.Now()
+	end := time.Now()
+	wallNS = uint64(end.Sub(b.t0))
+	if b.wall == nil {
+		return wallNS, 0
+	}
 	metrics.Read(b.sample[:])
 	if a1 := b.sample[0].Value.Uint64(); a1 > b.a0 {
 		allocBytes = a1 - b.a0
@@ -104,6 +117,6 @@ func (b *Band) End() (wallNS, allocBytes uint64) {
 	b.wall.Add(wallNS)
 	b.alloc.Add(allocBytes)
 	b.spans.Inc()
-	b.self.Add(uint64(time.Since(selfStart)))
+	b.self.Add(uint64(time.Since(end)))
 	return wallNS, allocBytes
 }

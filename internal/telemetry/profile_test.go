@@ -69,3 +69,22 @@ func TestBandEndWithoutBegin(t *testing.T) {
 		t.Fatalf("band_spans_fault = %d, want 1", got)
 	}
 }
+
+// The zero Band times spans without profiling: End reports the wall
+// delta since Begin, no allocation, and touches no registry.
+func TestZeroBandTimesOnly(t *testing.T) {
+	var b Band
+	t0 := b.Begin()
+	sink := make([]byte, 64<<10)
+	_ = sink
+	wall, alloc := b.End()
+	if t0.IsZero() {
+		t.Fatal("Begin returned the zero time")
+	}
+	if wall == 0 || alloc != 0 {
+		t.Fatalf("zero band End = (%d, %d), want (>0, 0)", wall, alloc)
+	}
+	if w, a := b.End(); w != 0 || a != 0 {
+		t.Fatalf("second End returned deltas: %d, %d", w, a)
+	}
+}

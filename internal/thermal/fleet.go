@@ -376,10 +376,9 @@ const vecLanes = 8
 // that the lanes' independent dependency chains interleave in the
 // instruction stream, letting an out-of-order core overlap them
 // instead of stalling on one server's ~30-cycle-per-substep chain.
-// This is the kernel the cluster's physics fan-out path uses; the
-// serial path keeps the plain StepRange loop as the readable
-// reference implementation, in the same spirit as the scalar Node
-// oracle.
+// This is the kernel the cluster's physics pass uses; StepRange stays
+// as its fallback and as the plain reference the parity and oracle
+// tests compare it against.
 //
 // A group falls back to StepRange when it is narrower than vecLanes
 // (range tail), when a lane is uninitialized or has negative power

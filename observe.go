@@ -56,16 +56,6 @@ func SetDefaultObservers(o Observers) {
 	defaultProfile = o.ProfileBands
 }
 
-// SetDefaultObservability installs fallback Metrics and Tracer sinks,
-// preserving any default Stream/Fleet/ProfileBands already installed.
-// Kept for callers predating SetDefaultObservers.
-func SetDefaultObservability(m *telemetry.Registry, t telemetry.Tracer) {
-	obsMu.Lock()
-	defer obsMu.Unlock()
-	defaultMetrics = m
-	defaultTracer = t
-}
-
 // defaultObservers returns the current process-wide fallbacks.
 func defaultObservers() Observers {
 	obsMu.RLock()
@@ -79,21 +69,31 @@ func defaultObservers() Observers {
 	}
 }
 
-// withDefaultObservability resolves cfg's nil telemetry fields against
-// the process defaults.
-func (c Config) withDefaultObservability() Config {
-	if c.Metrics != nil && c.Tracer != nil && c.Stream != nil && c.Fleet != nil && c.ProfileBands {
-		return c
-	}
-	d := defaultObservers()
+// soloRun is the run index withObservers takes for a run outside a
+// batch.
+const soloRun = -1
+
+// withObservers resolves c's nil telemetry fields against d: a
+// per-Config sink always wins over the fallback. For a batch run
+// (run ≥ 0) the fallback tracer and stream are tagged with the run's
+// index so exported traces and window records keep concurrent runs
+// apart; a per-Config tracer or stream is the caller's own and passes
+// through untagged.
+func (c Config) withObservers(d Observers, run int) Config {
 	if c.Metrics == nil {
 		c.Metrics = d.Metrics
 	}
-	if c.Tracer == nil && d.Tracer != nil {
+	if c.Tracer == nil {
 		c.Tracer = d.Tracer
+		if run >= 0 {
+			c.Tracer = telemetry.WithRun(d.Tracer, run)
+		}
 	}
 	if c.Stream == nil {
 		c.Stream = d.Stream
+		if run >= 0 {
+			c.Stream = d.Stream.ForRun(run)
+		}
 	}
 	if c.Fleet == nil {
 		c.Fleet = d.Fleet

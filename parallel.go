@@ -41,25 +41,6 @@ type BatchOptions struct {
 	// elapsed time and batch throughput — sweep feedback for long
 	// parameter studies.
 	Progress io.Writer
-	// Tracer, when non-nil, is shared across the batch: every run
-	// whose Config has no Tracer of its own emits into it, tagged with
-	// the run's index so exported traces keep runs apart. Must be safe
-	// for concurrent use (telemetry.Recorder is).
-	Tracer telemetry.Tracer
-	// Metrics, when non-nil, is applied to every run whose Config has
-	// no registry of its own; counters aggregate across the batch.
-	Metrics *telemetry.Registry
-	// Stream, when non-nil, is shared across the batch: every run
-	// whose Config has no Stream of its own gets a per-run fork
-	// (Stream.ForRun) writing into the shared sink, so interleaved
-	// window records stay separable by run index. Must be safe for
-	// concurrent use (telemetry.Stream and its NDJSON sink are).
-	Stream *telemetry.Stream
-	// Fleet, when non-nil, is applied to every run whose Config has no
-	// publisher of its own. The live view shows whichever run
-	// published last — last-writer-wins is the expected semantics for
-	// a batch's /fleet endpoint.
-	Fleet *telemetry.FleetPublisher
 	// Context, when non-nil, cancels the batch: queued runs are marked
 	// with ctx.Err() without starting, in-flight runs stop at their
 	// next tick, and completed indices keep their results — clean
@@ -93,7 +74,9 @@ func RunManyN(cfgs []Config, workers int) ([]*Result, error) {
 // index, and results at all successful indices are still populated —
 // callers that can use partial sweeps may inspect both. A run that
 // panics is isolated: the panic is recovered into that run's error
-// (with the stack) and its siblings are unaffected.
+// (with the stack) and its siblings are unaffected. Telemetry sinks a
+// Config leaves nil come from the process defaults (SetDefaultObservers)
+// as they stand when the batch starts.
 func RunManyOpts(cfgs []Config, opts BatchOptions) ([]*Result, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -106,6 +89,7 @@ func RunManyOpts(cfgs []Config, opts BatchOptions) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	obs := defaultObservers()
 	results := make([]*Result, len(cfgs))
 	errs := make([]error, len(cfgs))
 
@@ -168,43 +152,13 @@ func RunManyOpts(cfgs []Config, opts BatchOptions) ([]*Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				cfg := cfgs[i]
-				if cfg.Metrics == nil {
-					cfg.Metrics = opts.Metrics
-				}
+				cfg := cfgs[i].withObservers(obs, i)
 				// Batch workers already saturate the cores; nested
 				// per-tick physics parallelism would only add
 				// contention. Results are bit-identical for any
 				// worker count, so this changes nothing observable.
 				if cfg.PhysicsWorkers == 0 {
 					cfg.PhysicsWorkers = 1
-				}
-				// Tag the batch tracer (or the process default) with
-				// the run index so exported traces keep runs apart; a
-				// per-Config tracer is the caller's own and passes
-				// through untagged.
-				if cfg.Tracer == nil {
-					shared := opts.Tracer
-					if shared == nil {
-						shared = defaultObservers().Tracer
-					}
-					cfg.Tracer = telemetry.WithRun(shared, i)
-				}
-				// Same per-run tagging for window streams: fork the
-				// shared stream (batch option or process default) so
-				// this run's records carry its index. ForRun on nil
-				// yields nil, and RunCtx then resolves defaults —
-				// which is fine, because a nil default stream stays
-				// nil.
-				if cfg.Stream == nil {
-					shared := opts.Stream
-					if shared == nil {
-						shared = defaultObservers().Stream
-					}
-					cfg.Stream = shared.ForRun(i)
-				}
-				if cfg.Fleet == nil {
-					cfg.Fleet = opts.Fleet
 				}
 				runStart := time.Now() //vmtlint:allow detrand observational: progress-line timing only
 				results[i], errs[i] = runOne(cfg)

@@ -128,8 +128,8 @@ func TestRunManyOptsProgressAndThroughput(t *testing.T) {
 	}
 }
 
-// TestRunManyOptsSharedStreamTagsRuns checks a batch-shared window
-// stream forks per run: records from concurrent runs interleave in one
+// TestRunManyOptsSharedStreamTagsRuns checks the process-default
+// window stream forks per batch run: records from concurrent runs interleave in one
 // sink but stay separable by run index.
 func TestRunManyOptsSharedStreamTagsRuns(t *testing.T) {
 	cfgs := make([]Config, 3)
@@ -140,7 +140,9 @@ func TestRunManyOptsSharedStreamTagsRuns(t *testing.T) {
 	var buf bytes.Buffer
 	sink := telemetry.NewNDJSONSink(&buf) // sink serializes concurrent emits itself
 	shared := telemetry.NewStream(telemetry.StreamOptions{WindowTicks: 4, Sink: sink})
-	if _, err := RunManyOpts(cfgs, BatchOptions{Workers: 3, Stream: shared}); err != nil {
+	SetDefaultObservers(Observers{Stream: shared})
+	defer SetDefaultObservers(Observers{})
+	if _, err := RunManyOpts(cfgs, BatchOptions{Workers: 3}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := telemetry.ReadWindows(&buf)
@@ -158,8 +160,9 @@ func TestRunManyOptsSharedStreamTagsRuns(t *testing.T) {
 	}
 }
 
-// TestRunManyOptsSharedTracerTagsRuns checks a batch-shared recorder
-// separates runs by index, and a shared registry aggregates.
+// TestRunManyOptsSharedTracerTagsRuns checks the process-default
+// recorder separates batch runs by index, and the default registry
+// aggregates.
 func TestRunManyOptsSharedTracerTagsRuns(t *testing.T) {
 	cfgs := make([]Config, 3)
 	for i := range cfgs {
@@ -168,7 +171,9 @@ func TestRunManyOptsSharedTracerTagsRuns(t *testing.T) {
 	}
 	rec := telemetry.NewRecorder()
 	reg := telemetry.NewRegistry()
-	if _, err := RunManyOpts(cfgs, BatchOptions{Tracer: rec, Metrics: reg}); err != nil {
+	SetDefaultObservers(Observers{Metrics: reg, Tracer: rec})
+	defer SetDefaultObservers(Observers{})
+	if _, err := RunManyOpts(cfgs, BatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	runs := map[int]int{}

@@ -26,6 +26,11 @@ go build ./...
 echo "== go test"
 go test ./...
 
+echo "== vmtbench module (vet + short tests)"
+# The benchmark is a nested module that root ./... never builds; vet
+# and test it here so an exported-API change cannot break it unseen.
+(cd vmtbench && go vet ./... && go test -short -count=1 ./...)
+
 echo "== golden + property harness (short mode)"
 go test -short -count=1 \
     -run 'TestGolden|Property|BitIdentical' \

@@ -58,8 +58,8 @@ type Session struct {
 	// ones no-op. series streams cooling, power, air, melt, max CPU
 	// and (grouping policies only) hot-group size.
 	tracer     telemetry.Tracer
-	wall0      time.Time // span wall-clock origin
-	prof       [numBands]*telemetry.Band
+	wall0      time.Time                 // span wall-clock origin
+	bands      [numBands]*telemetry.Band // nil when the run is uninstrumented
 	dispatched *telemetry.Counter
 	runTicks   *telemetry.Counter
 	abovePMT   *telemetry.Counter
@@ -147,7 +147,7 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg = cfg.withDefaults().withDefaultObservability()
+	cfg = cfg.withDefaults().withObservers(defaultObservers(), soloRun)
 
 	cl, err := cluster.New(cluster.Config{
 		NumServers:     cfg.Servers,
@@ -300,14 +300,17 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 	if hasGroups {
 		s.series[5] = cfg.Stream.Series("hot_group_size")
 	}
-	if s.tracer != nil {
-		s.wall0 = time.Now() //vmtlint:allow detrand observational: span wall-clock origin, never read by the simulation
-	}
+	var profiler *telemetry.BandProfiler
 	if cfg.ProfileBands {
-		profiler := telemetry.NewBandProfiler(cfg.Metrics) // nil registry → nil profiler, whose bands no-op
+		profiler = telemetry.NewBandProfiler(cfg.Metrics) // nil registry → nil profiler
+	}
+	if s.tracer != nil || profiler != nil {
+		s.wall0 = time.Now() //vmtlint:allow detrand observational: span wall-clock origin, never read by the simulation
 		for b, name := range bandNames {
 			if injector != nil || (b != bandFault && b != bandGuard) {
-				s.prof[b] = profiler.Band(name)
+				if s.bands[b] = profiler.Band(name); s.bands[b] == nil {
+					s.bands[b] = new(telemetry.Band) // tracing only: time the span, no counters
+				}
 			}
 		}
 	}
@@ -361,37 +364,33 @@ func (s *Session) runTick(k int64) {
 }
 
 // runBand runs one band unless an error is latched, counting it on
-// sim_events_dispatched. With a tracer or band profiling it also
-// emits the band's span and wall/alloc deltas; without either the
-// band runs bare.
+// sim_events_dispatched. An instrumented band (tracer or band
+// profiling) is timed once by its telemetry.Band, and that one
+// measurement feeds both the span and the profiler counters; an
+// uninstrumented band runs bare.
 func (s *Session) runBand(b int, now time.Duration, fn func(time.Duration) error) {
 	if s.runErr != nil {
 		return
 	}
 	s.dispatched.Inc()
-	prof := s.prof[b]
-	if s.tracer == nil && prof == nil {
+	band := s.bands[b]
+	if band == nil {
 		s.fail(fn(now))
 		return
 	}
-	var t0 time.Time
-	if s.tracer != nil {
-		t0 = time.Now() //vmtlint:allow detrand observational: span timing feeds the tracer only
-	}
-	prof.Begin() //vmtlint:allow detrand observational: band profiler wall/alloc deltas feed telemetry only
+	t0 := band.Begin() //vmtlint:allow detrand observational: band wall/alloc deltas feed telemetry only
 	s.fail(fn(now))
-	_, alloc := prof.End() //vmtlint:allow detrand observational: band profiler wall/alloc deltas feed telemetry only
-	if s.tracer == nil {
-		return
+	wall, alloc := band.End() //vmtlint:allow detrand observational: band wall/alloc deltas feed telemetry only
+	if s.tracer != nil {
+		s.tracer.Emit(telemetry.SpanEvent{
+			Name:       bandNames[b],
+			At:         now,
+			WallStart:  t0.Sub(s.wall0),
+			Wall:       time.Duration(wall),
+			AllocBytes: alloc,
+			Args:       s.spanArgs(b),
+		})
 	}
-	s.tracer.Emit(telemetry.SpanEvent{
-		Name:       bandNames[b],
-		At:         now,
-		WallStart:  t0.Sub(s.wall0),
-		Wall:       time.Since(t0), //vmtlint:allow detrand observational: span timing feeds the tracer only
-		AllocBytes: alloc,
-		Args:       s.spanArgs(b),
-	})
 }
 
 // spanArgs returns the gauges a band's span samples at close.

@@ -253,8 +253,8 @@ func TestTracedRunExportsValidChromeTrace(t *testing.T) {
 func TestDefaultObservabilityAppliesToRuns(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	rec := telemetry.NewRecorder()
-	SetDefaultObservability(reg, rec)
-	defer SetDefaultObservability(nil, nil)
+	SetDefaultObservers(Observers{Metrics: reg, Tracer: rec})
+	defer SetDefaultObservers(Observers{})
 
 	cfg := BaselineScenario(5)
 	cfg.Trace = smallTrace()
@@ -328,5 +328,52 @@ func TestBandTableDispatchCount(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBandSpansAndProfilerShareOneClock requires a traced, profiled
+// run to measure each band once: per band, the spans' summed Wall and
+// AllocBytes equal the profiler's band_wall_ns_<band> and
+// band_alloc_bytes_<band>, and the span count equals band_spans_<band>.
+// A second clock around the profiler would bill its allocation-counter
+// reads to the span only, and the wall sums would drift apart.
+func TestBandSpansAndProfilerShareOneClock(t *testing.T) {
+	cfg := faultScenario(PolicyVMTTA)
+	cfg.Metrics = telemetry.NewRegistry()
+	cfg.ProfileBands = true
+	rec := telemetry.NewRecorder()
+	cfg.Tracer = rec
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	type sums struct{ wall, alloc, spans uint64 }
+	perBand := map[string]*sums{}
+	for _, ev := range rec.Events() {
+		s := perBand[ev.Name]
+		if s == nil {
+			s = &sums{}
+			perBand[ev.Name] = s
+		}
+		s.wall += uint64(ev.Wall)
+		s.alloc += ev.AllocBytes
+		s.spans++
+	}
+	for _, band := range []string{"physics", "fault", "guard", "schedule", "sample"} {
+		s := perBand[band]
+		if s == nil {
+			t.Fatalf("no %s spans", band)
+		}
+		if got := cfg.Metrics.Counter("band_wall_ns_" + band).Value(); got != s.wall {
+			t.Errorf("%s: band_wall_ns = %d, spans' Wall sum = %d", band, got, s.wall)
+		}
+		if got := cfg.Metrics.Counter("band_alloc_bytes_" + band).Value(); got != s.alloc {
+			t.Errorf("%s: band_alloc_bytes = %d, spans' AllocBytes sum = %d", band, got, s.alloc)
+		}
+		if got := cfg.Metrics.Counter("band_spans_" + band).Value(); got != s.spans {
+			t.Errorf("%s: band_spans = %d, span count = %d", band, got, s.spans)
+		}
+	}
+	if perBand["physics"].wall == 0 {
+		t.Error("physics spans recorded no wall time")
 	}
 }

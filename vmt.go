@@ -151,9 +151,9 @@ type Config struct {
 	// are bit-identical with or without it. Safe to share one registry
 	// across RunMany workers.
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, receives one span event per simulation
-	// phase per tick (physics, schedule, sample) with wall-clock
-	// timings and key gauges; export via telemetry.Recorder as JSONL
+	// Tracer, when non-nil, receives one span event per band per tick
+	// (physics, schedule, sample, plus fault and guard with a fault
+	// plan) with wall-clock timings and key gauges; export via telemetry.Recorder as JSONL
 	// or Chrome trace_event JSON. Nil disables tracing at (near) zero
 	// cost.
 	Tracer telemetry.Tracer
