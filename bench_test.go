@@ -9,6 +9,7 @@ package vmt
 // resolution.
 
 import (
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -561,6 +562,35 @@ func BenchmarkRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunScale runs one Run per policy {rr, ta, wa} at 100,
+// 1,000 and 4,000 servers (GV 22, the paper's two-day trace) and
+// reports wall time per server: round-robin's is flat in fleet size,
+// so the VMT legs' ratio to it is the scheduler's scaling. The 4k legs
+// take seconds each and are skipped under -short.
+func BenchmarkRunScale(b *testing.B) {
+	policies := []struct {
+		name   string
+		policy Policy
+	}{{"rr", PolicyRoundRobin}, {"ta", PolicyVMTTA}, {"wa", PolicyVMTWA}}
+	for _, p := range policies {
+		for _, n := range []int{100, 1000, 4000} {
+			b.Run(fmt.Sprintf("%s/servers=%d", p.name, n), func(b *testing.B) {
+				if n > 1000 && testing.Short() {
+					b.Skip("4k-server legs skipped in -short mode")
+				}
+				cfg := Scenario(n, p.policy, 22)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := Run(cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/server")
+			})
 		}
 	}
 }

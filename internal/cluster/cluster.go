@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"vmt/internal/bitset"
 	"vmt/internal/pcm"
 	"vmt/internal/stats"
 	"vmt/internal/thermal"
@@ -99,6 +100,11 @@ type Cluster struct {
 	// failedCount tracks crashed servers (fault injection) so the
 	// schedulers' alive-prefix sizing can skip the scan when zero.
 	failedCount int
+	// occ is the placement index, built on its first query.
+	occ Occupancy
+	// reportEpoch counts the events that may change what servers
+	// report to the scheduler (see ReportEpoch).
+	reportEpoch uint64
 }
 
 // Automatic physics parallelism: below the threshold a goroutine
@@ -141,39 +147,37 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	reg := newRegistry()
 	fleet, err := thermal.NewFleet(cfg.NumServers)
 	if err != nil {
 		return nil, err
 	}
-	servers := make([]*Server, cfg.NumServers)
-	ests := make([]pcm.Estimator, cfg.NumServers)
-	for i := range servers {
-		inlet := cfg.InletTempC
-		if cfg.InletStdevC > 0 {
-			inlet = rng.Normal(cfg.InletTempC, cfg.InletStdevC)
-		}
-		s, err := newServer(i, cfg.Server, cfg.Material, inlet, reg, fleet, &ests[i])
-		if err != nil {
-			return nil, err
-		}
-		servers[i] = s
-	}
 	n := cfg.NumServers
 	workers := resolveWorkers(cfg)
-	return &Cluster{
+	c := &Cluster{
 		cfg:      cfg,
-		servers:  servers,
+		servers:  make([]*Server, n),
 		fleet:    fleet,
-		ests:     ests,
-		reg:      reg,
+		ests:     make([]pcm.Estimator, n),
+		reg:      newRegistry(),
 		workers:  workers,
 		stepPow:  make([]float64, n),
 		airBuf:   make([]float64, n),
 		meltBuf:  make([]float64, n),
 		chunkIdx: make([]int, 0, workers),
 		chunkErr: make([]error, 0, workers),
-	}, nil
+	}
+	for i := range c.servers {
+		inlet := cfg.InletTempC
+		if cfg.InletStdevC > 0 {
+			inlet = rng.Normal(cfg.InletTempC, cfg.InletStdevC)
+		}
+		s, err := newServer(c, i, cfg.Server, cfg.Material, inlet, &c.ests[i])
+		if err != nil {
+			return nil, err
+		}
+		c.servers[i] = s
+	}
+	return c, nil
 }
 
 // Fleet exposes the cluster's struct-of-arrays thermal store (tests,
@@ -221,6 +225,9 @@ func (c *Cluster) MarkFailed(i int) {
 	if !s.failed {
 		s.failed = true
 		c.failedCount++
+		if c.occ.built {
+			bitset.Clear(c.occ.alive, i)
+		}
 	}
 }
 
@@ -230,8 +237,24 @@ func (c *Cluster) MarkRepaired(i int) {
 	if s.failed {
 		s.failed = false
 		c.failedCount--
+		if c.occ.built {
+			bitset.Set(c.occ.alive, i)
+		}
 	}
 }
+
+// ReportEpoch returns a counter that moves whenever a server's
+// scheduler-visible reports (melt estimate, report filter, air
+// temperature) may have changed: on every Step, on SetReportFilter,
+// and on ReportsChanged. Schedulers that cache per-server report
+// classes between physics steps rebuild them when it moves.
+func (c *Cluster) ReportEpoch() uint64 { return c.reportEpoch }
+
+// ReportsChanged records that server reports changed outside Step —
+// the fault band re-anchoring a repaired server's estimator or
+// refreshing Byzantine lies — so report caches keyed on ReportEpoch
+// are rebuilt before their next read.
+func (c *Cluster) ReportsChanged() { c.reportEpoch++ }
 
 // FailedServers returns how many servers are currently crashed.
 func (c *Cluster) FailedServers() int { return c.failedCount }
@@ -315,6 +338,7 @@ type Sample struct {
 // order, which keeps every float sum in a fixed order and the result
 // bit-identical for any worker count.
 func (c *Cluster) Step(dt time.Duration) (Sample, error) {
+	c.reportEpoch++
 	// Power is a pure function of job occupancy, fixed for the whole
 	// step; gather it once so the fleet kernel reads a flat slice.
 	for i, s := range c.servers {

@@ -24,7 +24,10 @@ import (
 // store, so the public Server API is unchanged from the per-Node
 // layout it replaces.
 type Server struct {
-	id    int
+	id int
+	// cl is the owning cluster: its workload registry, placement
+	// index and report epoch are shared by every server.
+	cl    *Cluster
 	spec  thermal.ServerSpec
 	fleet *thermal.Fleet
 	est   *pcm.Estimator
@@ -34,9 +37,8 @@ type Server struct {
 	// after construction.
 	cores int
 
-	// reg is the cluster-wide workload interner; counts[i] is the job
-	// count for the workload with registry index i.
-	reg       *registry
+	// counts[i] is the job count for the workload with index i in the
+	// cluster-wide registry.
 	counts    []int
 	busyCores int
 	// dynamicPowerW tracks the summed per-core power of placed jobs
@@ -81,8 +83,8 @@ type ReportFilter interface {
 // thermal slot in the fleet, and its estimator initialized in place in
 // the cluster-owned estimator column (so the per-tick estimator pass
 // streams contiguous memory).
-func newServer(id int, spec thermal.ServerSpec, mat pcm.Material, inletC float64, reg *registry, fleet *thermal.Fleet, est *pcm.Estimator) (*Server, error) {
-	if err := fleet.Init(id, spec, mat, inletC); err != nil {
+func newServer(c *Cluster, id int, spec thermal.ServerSpec, mat pcm.Material, inletC float64, est *pcm.Estimator) (*Server, error) {
+	if err := c.fleet.Init(id, spec, mat, inletC); err != nil {
 		return nil, err
 	}
 	if err := pcm.InitEstimator(est, mat, spec.WaxVolumeL, inletC, spec.WaxConductanceWPerK); err != nil {
@@ -90,11 +92,11 @@ func newServer(id int, spec thermal.ServerSpec, mat pcm.Material, inletC float64
 	}
 	return &Server{
 		id:    id,
+		cl:    c,
 		spec:  spec,
-		fleet: fleet,
+		fleet: c.fleet,
 		est:   est,
 		cores: spec.Cores(),
-		reg:   reg,
 	}, nil
 }
 
@@ -132,7 +134,7 @@ func (s *Server) Estimator() *pcm.Estimator { return s.est }
 
 // Jobs returns the job count for workload w.
 func (s *Server) Jobs(w workload.Workload) int {
-	i, ok := s.reg.lookup(w)
+	i, ok := s.cl.reg.lookup(w)
 	if !ok {
 		return 0
 	}
@@ -157,7 +159,7 @@ func (s *Server) Workloads() []workload.Workload {
 	var out []workload.Workload
 	for i, n := range s.counts {
 		if n > 0 {
-			out = append(out, s.reg.list[i])
+			out = append(out, s.cl.reg.list[i])
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -173,7 +175,7 @@ func (s *Server) LargestJob(class workload.Class) (workload.Workload, bool) {
 	var best workload.Workload
 	bestN := 0
 	found := false
-	for _, i := range s.reg.byName {
+	for _, i := range s.cl.reg.byName {
 		if i >= len(s.counts) {
 			continue
 		}
@@ -181,7 +183,7 @@ func (s *Server) LargestJob(class workload.Class) (workload.Workload, bool) {
 		if n == 0 {
 			continue
 		}
-		w := s.reg.list[i]
+		w := s.cl.reg.list[i]
 		if w.Class != class {
 			continue
 		}
@@ -202,9 +204,15 @@ func (s *Server) Place(w workload.Workload) error {
 	if s.FreeCores() == 0 {
 		return fmt.Errorf("cluster: server %d full", s.id)
 	}
-	i := s.reg.intern(w)
+	i := s.cl.reg.intern(w)
 	for len(s.counts) <= i {
 		s.counts = append(s.counts, 0)
+	}
+	if o := &s.cl.occ; o.built {
+		if o.rows() <= i {
+			s.cl.buildOccupancy()
+		}
+		o.moveJobs(s.id, i, s.counts[i], s.busyCores, +1)
 	}
 	s.counts[i]++
 	s.busyCores++
@@ -214,9 +222,12 @@ func (s *Server) Place(w workload.Workload) error {
 
 // Remove evicts one job of workload w.
 func (s *Server) Remove(w workload.Workload) error {
-	i, ok := s.reg.lookup(w)
+	i, ok := s.cl.reg.lookup(w)
 	if !ok || s.JobsAt(i) == 0 {
 		return fmt.Errorf("cluster: server %d has no %s job", s.id, w.Name)
+	}
+	if o := &s.cl.occ; o.built {
+		o.moveJobs(s.id, i, s.counts[i], s.busyCores, -1)
 	}
 	s.counts[i]--
 	s.busyCores--
@@ -276,7 +287,10 @@ func (s *Server) ReportedUtilization() float64 {
 }
 
 // SetReportFilter installs (or, with nil, removes) a report filter.
-func (s *Server) SetReportFilter(f ReportFilter) { s.filter = f }
+func (s *Server) SetReportFilter(f ReportFilter) {
+	s.filter = f
+	s.cl.ReportsChanged()
+}
 
 // ReportsQuarantined reports whether the defense layer currently
 // distrusts this server's telemetry.

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 
+	"vmt/internal/bitset"
 	"vmt/internal/cluster"
 	"vmt/internal/sched"
 	"vmt/internal/telemetry"
@@ -85,127 +86,148 @@ func (g *groups) sizeForAlive(target int) int {
 }
 
 // leastBusy returns the best placement target with a free core among
-// servers [lo,hi) that satisfy keep (nil = all): fewest jobs of w
+// servers [lo,hi) in class keep (a bitset over server IDs, such as
+// VMT-WA's wax classes; nil keeps every server): fewest jobs of w
 // first (even per-workload spread keeps server thermal compositions
 // uniform within a group), then fewest busy cores, with ties rotating.
 // Returns nil if none qualify.
 //
-// The rotating scan is written as a direct loop: placement scans run
-// hundreds of times per tick, and routing each visit through a
-// closure (capturing the comparison state) was a measurable share of
-// whole-run CPU. Each scan over a non-empty range advances the cursor
-// by exactly one.
+// The choice walks the cluster's occupancy index rather than the
+// servers: jobs-of-w keys j ascending, then busy-core keys b ≥ j
+// ascending, skipping keys whose population is zero or whose
+// candidates Jobs(w, j) ∧ Alive ∧ keep miss the range. The first key
+// pair whose candidate set Jobs(w, j) ∧ Busy(b) ∧ Alive ∧ keep meets
+// [lo,hi) holds exactly the servers the linear scan ranks best, and
+// among those the scan keeps the first it visits from lo + cursor%n
+// with wrap — the member FirstWrap returns. A server with b < Cores
+// has a free core, so keys stop below Cores. Each query over a
+// non-empty range advances the cursor by exactly one, found or not.
 //
 //vmt:hotpath
-func (g *groups) leastBusy(lo, hi int, w workload.Workload, keep func(*cluster.Server) bool) *cluster.Server {
+func (g *groups) leastBusy(lo, hi int, w workload.Workload, keep []uint64) *cluster.Server {
 	wi := g.c.WorkloadIndex(w)
 	n := hi - lo
 	if n <= 0 {
 		return nil
 	}
+	cursor := g.cursor
 	g.cursor++
-	start := g.cursor % n
-	servers := g.c.Servers()
+	start := lo + g.cursor%n
+	o := g.c.Occupancy()
+	cores := o.Cores()
 	var best *cluster.Server
-	bestJobs := 0
-	// Walk [start, n) then [0, start) with a wrapping index instead of
-	// a per-visit modulo — same visit order, two integer ops cheaper on
-	// a loop that runs for every placement decision. The common nil
-	// filter (every VMT-TA call) gets its own loop without the
-	// per-visit keep check.
-	idx := lo + start
-	if keep == nil {
-		for i := 0; i < n; i++ {
-			s := servers[idx]
-			idx++
-			if idx == lo+n {
-				idx = lo
-			}
-			if s.FreeCores() == 0 {
+	for j := 0; j < cores && best == nil; j++ {
+		if o.JobsPop(wi, j) == 0 {
+			continue
+		}
+		if level := (bitset.And{A: o.Jobs(wi, j), B: o.Alive(), C: keep}); level.Next(lo, hi) < 0 {
+			continue
+		}
+		for b := j; b < cores; b++ {
+			if o.BusyPop(b) == 0 {
 				continue
 			}
-			j := s.JobsAt(wi)
-			if best == nil || j < bestJobs ||
-				(j == bestJobs && s.BusyCores() < best.BusyCores()) {
-				best, bestJobs = s, j
+			q := bitset.And{A: o.Jobs(wi, j), B: o.Busy(b), C: o.Alive(), D: keep}
+			if id := q.FirstWrap(lo, hi, start); id >= 0 {
+				best = g.c.Servers()[id]
+				break
 			}
 		}
-		return best
 	}
-	for i := 0; i < n; i++ {
-		s := servers[idx]
-		idx++
-		if idx == lo+n {
-			idx = lo
-		}
-		if s.FreeCores() == 0 {
-			continue
-		}
-		if !keep(s) {
-			continue
-		}
-		j := s.JobsAt(wi)
-		if best == nil || j < bestJobs ||
-			(j == bestJobs && s.BusyCores() < best.BusyCores()) {
-			best, bestJobs = s, j
-		}
+	if decisionHook != nil {
+		decisionHook(decision{op: opLeastBusy, g: g, cursor: cursor, lo: lo, hi: hi, w: w, keep: keep, got: best})
 	}
 	return best
 }
 
-// mostBusyWith returns the server in [lo,hi) running w with the most
-// jobs of w (ties rotating), optionally filtered by keep. Direct loop
-// for the same reason as leastBusy.
+// mostBusyWith returns the server in [lo,hi) and class keep running w
+// with the most jobs of w (ties rotating). Like the scan it replaces,
+// it checks neither liveness nor free cores. The index walk visits
+// jobs-of-w keys from Cores down to 1 and returns the first member in
+// rotated order of the first Jobs(w, j) ∧ keep that meets the range.
 //
 //vmt:hotpath
-func (g *groups) mostBusyWith(lo, hi int, w workload.Workload, keep func(*cluster.Server) bool) *cluster.Server {
+func (g *groups) mostBusyWith(lo, hi int, w workload.Workload, keep []uint64) *cluster.Server {
 	wi := g.c.WorkloadIndex(w)
 	n := hi - lo
 	if n <= 0 {
 		return nil
 	}
+	cursor := g.cursor
 	g.cursor++
-	start := g.cursor % n
-	servers := g.c.Servers()
+	start := lo + g.cursor%n
+	o := g.c.Occupancy()
 	var best *cluster.Server
-	bestJobs := 0
-	idx := lo + start
-	if keep == nil {
-		for i := 0; i < n; i++ {
-			s := servers[idx]
-			idx++
-			if idx == lo+n {
-				idx = lo
-			}
-			j := s.JobsAt(wi)
-			if j == 0 {
+	// One pass settles the common empty case (no spilled job to evict)
+	// instead of one pass per populated jobs key.
+	if running := (bitset.And{A: keep, Not: o.Jobs(wi, 0)}); running.Next(lo, hi) >= 0 {
+		for j := o.Cores(); j > 0 && best == nil; j-- {
+			if o.JobsPop(wi, j) == 0 {
 				continue
 			}
-			if best == nil || j > bestJobs {
-				best, bestJobs = s, j
+			q := bitset.And{A: o.Jobs(wi, j), B: keep}
+			if id := q.FirstWrap(lo, hi, start); id >= 0 {
+				best = g.c.Servers()[id]
 			}
 		}
-		return best
 	}
-	for i := 0; i < n; i++ {
-		s := servers[idx]
-		idx++
-		if idx == lo+n {
-			idx = lo
-		}
-		j := s.JobsAt(wi)
-		if j == 0 {
-			continue
-		}
-		if !keep(s) {
-			continue
-		}
-		if best == nil || j > bestJobs {
-			best, bestJobs = s, j
-		}
+	if decisionHook != nil {
+		decisionHook(decision{op: opMostBusyWith, g: g, cursor: cursor, lo: lo, hi: hi, w: w, keep: keep, got: best})
 	}
 	return best
 }
+
+// firstFree returns the lowest-ID server in [lo,hi) and class keep
+// with a free core (alive and below Cores busy), or nil: the
+// fill-first order of VMT-WA's extension region and the destination
+// search of its cold-job clearing.
+//
+//vmt:hotpath
+func (g *groups) firstFree(lo, hi int, keep []uint64) *cluster.Server {
+	o := g.c.Occupancy()
+	q := bitset.And{A: o.Alive(), B: keep, Not: o.Busy(o.Cores())}
+	if id := q.Next(lo, hi); id >= 0 {
+		return g.c.Servers()[id]
+	}
+	return nil
+}
+
+// decisionOp names an index-backed choice.
+type decisionOp uint8
+
+const (
+	opLeastBusy decisionOp = iota
+	opMostBusyWith
+	opMeltTarget
+	opShed
+	opClear
+	opSwap
+)
+
+// decision is one index-backed choice, as the differential oracle
+// replays it: the group state and cursor before the choice, the query
+// arguments, and what the index picked.
+type decision struct {
+	op     decisionOp
+	g      *groups
+	cursor int
+	lo, hi int
+	w      workload.Workload
+	keep   []uint64
+	got    *cluster.Server
+	// wa and mv carry VMT-WA's meltTarget and rebalancing picks; ok
+	// is false when the rebalancing step found nothing to move.
+	wa *WaxAware
+	mv move
+	ok bool
+}
+
+// decisionHook, when non-nil, observes every index-backed choice
+// before it is acted on. Only the differential oracle
+// (oracle_test.go) sets it, to replay each choice with the linear
+// scans the index replaced; production runs leave it nil and pay one
+// nil check per query.
+var decisionHook func(d decision)
 
 // Config carries the knobs shared by both VMT policies.
 type Config struct {

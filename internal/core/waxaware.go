@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"vmt/internal/bitset"
 	"vmt/internal/cluster"
 	"vmt/internal/sched"
 	"vmt/internal/telemetry"
@@ -38,13 +39,13 @@ type WaxAware struct {
 	powerScale float64
 
 	// Optional instruments (nil-safe) plus the last observed state
-	// they diff against. prevMelted starts at 0 so the first tick's
+	// they diff against. prevMelted starts empty so the first tick's
 	// melted servers (normally none) count as trips.
 	resizes    *telemetry.Counter
 	trips      *telemetry.Counter
 	migrations *telemetry.Counter
 	fallbacks  *telemetry.Counter
-	prevMelted int
+	prevMelted []uint64
 
 	// degraded[i] marks servers whose melt estimate cannot be trusted
 	// this tick: the server is crashed, its estimate has gone stale
@@ -53,6 +54,27 @@ type WaxAware struct {
 	// VMT-WA falls back to VMT-TA-style even placement for them
 	// instead of acting on bad data. Refreshed by refreshHealth.
 	degraded []bool
+
+	// meltedSet and moltenSet are the per-tick wax classes, one bit
+	// per server: meltedSet is the melted predicate, moltenSet is
+	// melted with the air at or above the PMT. unmeltedSet and
+	// canMeltSet are their complements, kept so every class is a
+	// plain query filter. They read only reports (which move with the
+	// cluster's ReportEpoch) and the degraded set (which moves in
+	// refreshHealth), so buildClasses runs at the end of refreshHealth
+	// and again, via syncClasses, whenever the epoch has moved since —
+	// a physics step, or the fault band rewriting reports before
+	// Evacuate or a stream manager's departures query them ahead of
+	// the next Tick.
+	meltedSet, unmeltedSet []uint64
+	moltenSet, canMeltSet  []uint64
+	// classEpoch is one past the report epoch of the last build, so
+	// the zero value means "never built" and the first query builds.
+	classEpoch uint64
+
+	// hotFrom and coldFrom are where one rebalanceMelted call resumes
+	// its source scans (see rebalanceMelted).
+	hotFrom, coldFrom int
 }
 
 // DefaultMaxEstimateAge is how old a melt estimate may grow (no
@@ -73,20 +95,27 @@ func NewWaxAware(c *cluster.Cluster, cfg Config) (*WaxAware, error) {
 	}
 	pmt := c.Config().Material.MeltTempC
 	base := HotGroupSize(cfg.GV, pmt, c.Len())
-	return &WaxAware{
-		g:          groups{c: c, hotSize: base},
-		cfg:        cfg,
-		baseHot:    base,
-		effBase:    base,
-		pmtC:       pmt,
-		kAirWPerK:  c.Config().Server.AirConductanceWPerK,
-		powerScale: c.Config().Server.PowerScale,
-		resizes:    cfg.Metrics.Counter("sched_hot_group_resizes"),
-		trips:      cfg.Metrics.Counter("sched_threshold_trips"),
-		migrations: cfg.Metrics.Counter("sched_migrations"),
-		fallbacks:  cfg.Metrics.Counter("sched_estimate_fallbacks"),
-		degraded:   make([]bool, c.Len()),
-	}, nil
+	words := bitset.Words(c.Len())
+	wa := &WaxAware{
+		g:           groups{c: c, hotSize: base},
+		cfg:         cfg,
+		baseHot:     base,
+		effBase:     base,
+		pmtC:        pmt,
+		kAirWPerK:   c.Config().Server.AirConductanceWPerK,
+		powerScale:  c.Config().Server.PowerScale,
+		resizes:     cfg.Metrics.Counter("sched_hot_group_resizes"),
+		trips:       cfg.Metrics.Counter("sched_threshold_trips"),
+		migrations:  cfg.Metrics.Counter("sched_migrations"),
+		fallbacks:   cfg.Metrics.Counter("sched_estimate_fallbacks"),
+		degraded:    make([]bool, c.Len()),
+		prevMelted:  make([]uint64, words),
+		meltedSet:   make([]uint64, words),
+		unmeltedSet: make([]uint64, words),
+		moltenSet:   make([]uint64, words),
+		canMeltSet:  make([]uint64, words),
+	}
+	return wa, nil
 }
 
 // Name implements sched.Scheduler.
@@ -127,7 +156,8 @@ func (wa *WaxAware) IsHot(s *cluster.Server) bool { return wa.g.isHot(s) }
 // reported melt fraction exceeds the wax threshold. A degraded server
 // (crashed, stale, or garbage estimate) always reads as not melted —
 // the graceful-degradation rule that turns VMT-WA into VMT-TA for the
-// affected servers.
+// affected servers. Decisions read it through the melted and molten
+// classes; buildClasses is its only caller on the scheduling path.
 func (wa *WaxAware) melted(s *cluster.Server) bool {
 	if id := s.ID(); id < len(wa.degraded) && wa.degraded[id] {
 		return false
@@ -139,10 +169,10 @@ func (wa *WaxAware) melted(s *cluster.Server) bool {
 	return frac >= wa.cfg.WaxThreshold
 }
 
-// refreshHealth recomputes the degraded set. A healthy-to-degraded
-// transition increments sched_estimate_fallbacks. With the oracle
-// ablation only crashes degrade a server (ground truth cannot go
-// stale).
+// refreshHealth recomputes the degraded set, and the wax classes
+// over it. A healthy-to-degraded transition increments
+// sched_estimate_fallbacks. With the oracle ablation only crashes
+// degrade a server (ground truth cannot go stale).
 func (wa *WaxAware) refreshHealth() {
 	servers := wa.g.c.Servers()
 	for i, s := range servers {
@@ -164,13 +194,40 @@ func (wa *WaxAware) refreshHealth() {
 		}
 		wa.degraded[i] = d
 	}
+	wa.buildClasses()
 }
 
-// canMeltMore reports whether placing hot load on s can melt more wax
-// or keep molten wax melted: s is below the threshold or below the
-// melting temperature (the Section III-B placement predicate).
-func (wa *WaxAware) canMeltMore(s *cluster.Server) bool {
-	return !wa.melted(s) || s.AirTempC() < wa.pmtC
+// buildClasses recomputes the wax classes from the current reports
+// and degraded set. A server outside molten can melt more wax or keep
+// molten wax melted — it is below the threshold or below the melting
+// temperature — which is the Section III-B placement predicate
+// canMeltSet holds.
+func (wa *WaxAware) buildClasses() {
+	for _, set := range [][]uint64{wa.meltedSet, wa.unmeltedSet, wa.moltenSet, wa.canMeltSet} {
+		clear(set)
+	}
+	for i, s := range wa.g.c.Servers() {
+		melted := wa.melted(s)
+		if melted {
+			bitset.Set(wa.meltedSet, i)
+		} else {
+			bitset.Set(wa.unmeltedSet, i)
+		}
+		if melted && s.AirTempC() >= wa.pmtC {
+			bitset.Set(wa.moltenSet, i)
+		} else {
+			bitset.Set(wa.canMeltSet, i)
+		}
+	}
+	wa.classEpoch = wa.g.c.ReportEpoch() + 1
+}
+
+// syncClasses builds the classes if they were never built or reports
+// may have moved since the last build.
+func (wa *WaxAware) syncClasses() {
+	if wa.classEpoch != wa.g.c.ReportEpoch()+1 {
+		wa.buildClasses()
+	}
 }
 
 // Tick implements sched.Scheduler: restart from the Equation-1
@@ -183,16 +240,13 @@ func (wa *WaxAware) canMeltMore(s *cluster.Server) bool {
 // melting after the initial hot group saturates (Figure 14).
 func (wa *WaxAware) Tick(time.Duration) {
 	wa.refreshHealth()
-	meltedCount := 0
-	for _, s := range wa.g.c.Servers() {
-		if wa.melted(s) {
-			meltedCount++
-		}
+	meltedCount := bitset.Count(wa.meltedSet)
+	// A trip is a server crossing the threshold since the last tick,
+	// counted even when another server drops back in the same tick.
+	if trips := bitset.CountAndNot(wa.meltedSet, wa.prevMelted); trips > 0 {
+		wa.trips.Add(uint64(trips))
 	}
-	if meltedCount > wa.prevMelted {
-		wa.trips.Add(uint64(meltedCount - wa.prevMelted))
-	}
-	wa.prevMelted = meltedCount
+	copy(wa.prevMelted, wa.meltedSet)
 	wa.effBase = wa.effectiveBase()
 	size := wa.effBase + meltedCount
 	if size > wa.g.c.Len() {
@@ -232,7 +286,17 @@ func (wa *WaxAware) keepWarmPowerW(s *cluster.Server) float64 {
 // bounds scheduler churn; the handover completes over a few ticks,
 // matching the paper's observation that VMT-WA extends the hot group
 // at a visible granularity (Figure 14).
+//
+// Each pick returns the first qualifying source in ID order, and
+// within one call the classes, hot group and base are fixed, so the
+// scans resume where the last pick stopped instead of restarting at
+// the front. Molten servers before hotFrom have no hot job to spare;
+// only a cold job landing on one (clearOneCold's destination) can
+// change that, so clearOneCold pulls hotFrom back to it. Extension
+// servers before coldFrom run no cold job, and no move gives one a
+// cold job, so coldFrom only advances.
 func (wa *WaxAware) rebalanceMelted() {
+	wa.hotFrom, wa.coldFrom = 0, wa.effBase
 	for budget := int(float64(wa.g.c.TotalCores()) * wa.cfg.MigrationBudgetFrac); budget > 0; {
 		moved := false
 		if wa.shedOneHot() {
@@ -259,101 +323,144 @@ func (wa *WaxAware) rebalanceMelted() {
 	}
 }
 
+// move is one rebalancing migration: a job of w leaves src for dst
+// and, for a swap, a job of back travels from dst to src. The picks
+// walk the wax classes in ascending ID order over the current hot
+// group, as the scans they replace did. Sources are molten and
+// destinations are not (or the reverse for clearOneCold), so a server
+// is never its own destination without an explicit ID check.
+type move struct {
+	src, dst *cluster.Server
+	w, back  workload.Workload
+}
+
+// decide reports a rebalancing pick to the differential oracle hook.
+func (wa *WaxAware) decide(op decisionOp, cursor int, mv move, ok bool) {
+	if decisionHook != nil {
+		decisionHook(decision{op: op, g: &wa.g, cursor: cursor, wa: wa, mv: mv, ok: ok})
+	}
+}
+
+// keepsWarm reports whether src stays at keep-warm power after losing
+// one job of w; draining it further would refreeze the wax and
+// release stored heat in the middle of the peak.
+func (wa *WaxAware) keepsWarm(src *cluster.Server, w workload.Workload) bool {
+	return !(src.PowerW()-w.PerCorePowerW()*wa.powerScale < wa.keepWarmPowerW(src))
+}
+
 // swapOne exchanges one hot job on a melted keep-warm-surplus server
 // for one cold job on an extension server, without needing any free
 // core. Reports whether an exchange happened.
 func (wa *WaxAware) swapOne() bool {
-	for i := 0; i < wa.g.hotSize; i++ {
-		src := wa.g.c.Server(i)
-		if !wa.melted(src) || src.AirTempC() < wa.pmtC {
-			continue
-		}
-		hot, ok := wa.largestJob(src, workload.Hot)
-		if !ok {
-			continue
-		}
-		keep := wa.keepWarmPowerW(src)
-		if src.PowerW()-hot.PerCorePowerW()*wa.powerScale < keep {
-			continue
-		}
-		for j := wa.effBase; j < wa.g.hotSize; j++ {
-			e := wa.g.c.Server(j)
-			if e.ID() == src.ID() || !wa.canMeltMore(e) {
-				continue
-			}
-			cold, ok := wa.largestJob(e, workload.Cold)
-			if !ok {
-				continue
-			}
-			if src.Remove(hot) != nil {
-				return false
-			}
-			if e.Remove(cold) != nil {
-				_ = src.Place(hot) // roll back; should not happen
-				return false
-			}
-			return e.Place(hot) == nil && src.Place(cold) == nil
-		}
+	cursor := wa.g.cursor
+	mv, ok := wa.pickSwap()
+	wa.decide(opSwap, cursor, mv, ok)
+	if !ok {
+		return false
 	}
-	return false
+	if mv.src.Remove(mv.w) != nil {
+		return false
+	}
+	if mv.dst.Remove(mv.back) != nil {
+		_ = mv.src.Place(mv.w) // roll back; should not happen
+		return false
+	}
+	return mv.dst.Place(mv.w) == nil && mv.src.Place(mv.back) == nil
+}
+
+// pickSwap returns the first molten hot-group server with a hot job to
+// spare and the first extension server that can melt more and runs a
+// cold job. The destination does not depend on the source, so once
+// one source qualifies the answer is settled either way.
+func (wa *WaxAware) pickSwap() (move, bool) {
+	servers, hot := wa.g.c.Servers(), wa.g.hotSize
+	molten, canMelt := bitset.And{A: wa.moltenSet}, bitset.And{A: wa.canMeltSet}
+	for i := molten.Next(wa.hotFrom, hot); i >= 0; i = molten.Next(i+1, hot) {
+		src := servers[i]
+		hw, ok := wa.largestJob(src, workload.Hot)
+		if !ok || !wa.keepsWarm(src, hw) {
+			continue
+		}
+		wa.hotFrom = i
+		for j := canMelt.Next(wa.coldFrom, hot); j >= 0; j = canMelt.Next(j+1, hot) {
+			if cw, ok := wa.largestJob(servers[j], workload.Cold); ok {
+				wa.coldFrom = j
+				return move{src: src, dst: servers[j], w: hw, back: cw}, true
+			}
+		}
+		wa.coldFrom = hot
+		return move{}, false
+	}
+	wa.hotFrom = hot
+	return move{}, false
 }
 
 // shedOneHot moves one hot job from a fully melted server with surplus
 // power to the current melt target. Reports whether a move happened.
 func (wa *WaxAware) shedOneHot() bool {
-	for i := 0; i < wa.g.hotSize; i++ {
-		src := wa.g.c.Server(i)
-		if !wa.melted(src) || src.AirTempC() < wa.pmtC {
-			continue
-		}
-		keep := wa.keepWarmPowerW(src)
+	cursor := wa.g.cursor
+	mv, ok := wa.pickShed()
+	wa.decide(opShed, cursor, mv, ok)
+	return ok && mv.src.Remove(mv.w) == nil && mv.dst.Place(mv.w) == nil
+}
+
+// pickShed returns the first molten hot-group server with a hot job to
+// spare, paired with the melt target for that job.
+func (wa *WaxAware) pickShed() (move, bool) {
+	servers, hot := wa.g.c.Servers(), wa.g.hotSize
+	molten := bitset.And{A: wa.moltenSet}
+	for i := molten.Next(wa.hotFrom, hot); i >= 0; i = molten.Next(i+1, hot) {
+		src := servers[i]
 		w, ok := wa.largestJob(src, workload.Hot)
-		if !ok {
+		if !ok || !wa.keepsWarm(src, w) {
 			continue
 		}
-		// Only shed if the server stays at keep-warm power afterwards;
-		// draining it would refreeze the wax and release stored heat
-		// in the middle of the peak.
-		if src.PowerW()-w.PerCorePowerW()*wa.powerScale < keep {
-			continue
-		}
-		dst := wa.meltTarget(w, src.ID())
+		wa.hotFrom = i
+		dst := wa.meltTarget(w)
 		if dst == nil {
-			return false
+			return move{}, false
 		}
-		return src.Remove(w) == nil && dst.Place(w) == nil
+		return move{src: src, dst: dst, w: w}, true
 	}
-	return false
+	wa.hotFrom = hot
+	return move{}, false
 }
 
 // clearOneCold moves one cold job off the extension server currently
 // being filled, onto a melted hot-group server with a free core (where
 // extra heat is thermally harmless), making room for hot load.
 func (wa *WaxAware) clearOneCold() bool {
-	for i := wa.effBase; i < wa.g.hotSize; i++ {
-		e := wa.g.c.Server(i)
-		if !wa.canMeltMore(e) {
+	cursor := wa.g.cursor
+	mv, ok := wa.pickClear()
+	wa.decide(opClear, cursor, mv, ok)
+	if !ok || mv.src.Remove(mv.w) != nil || mv.dst.Place(mv.w) != nil {
+		return false
+	}
+	wa.hotFrom = min(wa.hotFrom, mv.dst.ID())
+	return true
+}
+
+// pickClear returns the first extension server that can melt more and
+// still runs a cold job (those already converted to hot load are
+// skipped; the next one is filled), paired with the first molten
+// hot-group server with a free core.
+func (wa *WaxAware) pickClear() (move, bool) {
+	servers, hot := wa.g.c.Servers(), wa.g.hotSize
+	canMelt := bitset.And{A: wa.canMeltSet}
+	for i := canMelt.Next(wa.coldFrom, hot); i >= 0; i = canMelt.Next(i+1, hot) {
+		w, ok := wa.largestJob(servers[i], workload.Cold)
+		if !ok {
 			continue
 		}
-		w, ok := wa.largestJob(e, workload.Cold)
-		if !ok {
-			continue // already converted to hot load; fill the next one
-		}
-		var dst *cluster.Server
-		for j := 0; j < wa.g.hotSize; j++ {
-			d := wa.g.c.Server(j)
-			if d.ID() != e.ID() && d.FreeCores() > 0 &&
-				wa.melted(d) && d.AirTempC() >= wa.pmtC {
-				dst = d
-				break
-			}
-		}
+		wa.coldFrom = i
+		dst := wa.g.firstFree(0, hot, wa.moltenSet)
 		if dst == nil {
-			return false
+			return move{}, false
 		}
-		return e.Remove(w) == nil && dst.Place(w) == nil
+		return move{src: servers[i], dst: dst, w: w}, true
 	}
-	return false
+	wa.coldFrom = hot
+	return move{}, false
 }
 
 // largestJob returns the workload of the given class with the most
@@ -365,6 +472,7 @@ func (wa *WaxAware) largestJob(s *cluster.Server, class workload.Class) (workloa
 
 // Place implements sched.Scheduler using the Section III-B cascade.
 func (wa *WaxAware) Place(w workload.Workload) (*cluster.Server, error) {
+	wa.syncClasses()
 	if w.Class == workload.Hot {
 		return wa.placeHot(w)
 	}
@@ -379,45 +487,42 @@ func (wa *WaxAware) Place(w workload.Workload) (*cluster.Server, error) {
 // server only melts wax if it is driven above the melting temperature,
 // so spreading the surplus thinly would melt nothing (Section III-B:
 // "moves the additional load to the newly added server").
-func (wa *WaxAware) meltTarget(w workload.Workload, excludeID int) *cluster.Server {
-	keep := func(s *cluster.Server) bool {
-		return s.ID() != excludeID && wa.canMeltMore(s)
-	}
+func (wa *WaxAware) meltTarget(w workload.Workload) *cluster.Server {
+	wa.syncClasses()
+	cursor := wa.g.cursor
 	base := wa.effBase
 	if base > wa.g.hotSize {
 		base = wa.g.hotSize
 	}
-	if s := wa.g.leastBusy(0, base, w, keep); s != nil {
-		return s
+	s := wa.g.leastBusy(0, base, w, wa.canMeltSet)
+	if s == nil {
+		s = wa.g.firstFree(base, wa.g.hotSize, wa.canMeltSet)
 	}
-	for i := base; i < wa.g.hotSize; i++ {
-		s := wa.g.c.Server(i)
-		if s.FreeCores() > 0 && keep(s) {
-			return s
-		}
+	if decisionHook != nil {
+		decisionHook(decision{op: opMeltTarget, g: &wa.g, cursor: cursor, w: w, got: s, wa: wa})
 	}
-	return nil
+	return s
 }
 
 func (wa *WaxAware) placeHot(w workload.Workload) (*cluster.Server, error) {
 	n := wa.g.c.Len()
 	// 1. A hot-group server that can melt more wax (below the wax
 	//    threshold or below the melting temperature).
-	if s := wa.meltTarget(w, -1); s != nil {
+	if s := wa.meltTarget(w); s != nil {
 		return s, nil
 	}
 	// 2. Extend the hot group from the cold group sequentially until
 	//    it includes such a server (sudden load spikes).
 	for wa.g.hotSize < n {
 		wa.g.hotSize++
-		added := wa.g.c.Server(wa.g.hotSize - 1)
-		if added.FreeCores() > 0 && wa.canMeltMore(added) {
+		id := wa.g.hotSize - 1
+		if added := wa.g.c.Server(id); added.FreeCores() > 0 && bitset.Has(wa.canMeltSet, id) {
 			return added, nil
 		}
 	}
 	// 3. Corner case with every server in the hot group: any server
 	//    below the melted threshold, then any remaining server.
-	if s := wa.g.leastBusy(0, n, w, func(s *cluster.Server) bool { return !wa.melted(s) }); s != nil {
+	if s := wa.g.leastBusy(0, n, w, wa.unmeltedSet); s != nil {
 		return s, nil
 	}
 	if s := wa.g.leastBusy(0, n, w, nil); s != nil {
@@ -434,10 +539,7 @@ func (wa *WaxAware) placeCold(w workload.Workload) (*cluster.Server, error) {
 	}
 	// 2. A hot-group server already above the melted threshold and the
 	//    melting temperature — minimal thermal impact.
-	alreadyMolten := func(s *cluster.Server) bool {
-		return wa.melted(s) && s.AirTempC() >= wa.pmtC
-	}
-	if s := wa.g.leastBusy(0, wa.g.hotSize, w, alreadyMolten); s != nil {
+	if s := wa.g.leastBusy(0, wa.g.hotSize, w, wa.moltenSet); s != nil {
 		return s, nil
 	}
 	// 3. Any remaining hot-group server.
@@ -454,6 +556,7 @@ func (wa *WaxAware) placeCold(w workload.Workload) (*cluster.Server, error) {
 // in the job's group — so melted servers keep just enough load to
 // stay molten.
 func (wa *WaxAware) SelectRemoval(w workload.Workload) (*cluster.Server, error) {
+	wa.syncClasses()
 	n := wa.g.c.Len()
 	if w.Class == workload.Hot {
 		// Spilled hot jobs in the cold group first.
@@ -463,7 +566,7 @@ func (wa *WaxAware) SelectRemoval(w workload.Workload) (*cluster.Server, error) 
 		// Then the same servers placements target (those still able to
 		// melt wax): minute-scale churn cycles within that set, so
 		// fully melted servers keep the load holding their wax molten.
-		if s := wa.g.mostBusyWith(0, wa.g.hotSize, w, wa.canMeltMore); s != nil {
+		if s := wa.g.mostBusyWith(0, wa.g.hotSize, w, wa.canMeltSet); s != nil {
 			return s, nil
 		}
 		if s := wa.g.mostBusyWith(0, wa.g.hotSize, w, nil); s != nil {

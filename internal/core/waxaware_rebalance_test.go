@@ -216,12 +216,12 @@ func TestMeltTargetFillFirst(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		fillServer(t, c, i, workload.VideoEncoding, 32)
 	}
-	dst := wa.meltTarget(workload.WebSearch, -1)
+	dst := wa.meltTarget(workload.WebSearch)
 	if dst == nil || dst.ID() != 4 {
 		t.Fatalf("fill-first target = %v, want server 4", dst)
 	}
 	fillServer(t, c, 4, workload.WebSearch, 32)
-	dst = wa.meltTarget(workload.WebSearch, -1)
+	dst = wa.meltTarget(workload.WebSearch)
 	if dst == nil || dst.ID() != 5 {
 		t.Fatalf("next fill target = %v, want server 5", dst)
 	}

@@ -251,6 +251,9 @@ func (inj *Injector) Tick(now, dt time.Duration) error {
 	for _, id := range inj.byzServers {
 		inj.byz[id].refresh(now)
 	}
+	if len(inj.byzServers) > 0 {
+		inj.c.ReportsChanged()
+	}
 	return nil
 }
 
@@ -356,6 +359,7 @@ func (inj *Injector) repair(id int) {
 	// shadow at the current air temperature so the estimate restarts
 	// from a known state instead of the pre-crash trajectory.
 	s.Estimator().Reset(s.AirTempC())
+	inj.c.ReportsChanged()
 	inj.repaired++
 	inj.repairCount.Inc()
 }

@@ -253,3 +253,33 @@ func TestCrashMarksEstimatorStale(t *testing.T) {
 		t.Fatalf("StaleFor() = %v after repair, want 0", got)
 	}
 }
+
+// Report caches keyed on the cluster's report epoch (VMT-WA's wax
+// classes) must see the fault band's report rewrites: a repair
+// re-anchors the estimator and a Byzantine refresh redraws the lie,
+// both outside any physics step, so each must move the epoch. A crash
+// changes no report and leaves it alone.
+func TestInjectorMovesReportEpoch(t *testing.T) {
+	tick := func(inj *Injector, c *cluster.Cluster, min int) bool {
+		t.Helper()
+		before := c.ReportEpoch()
+		if err := inj.Tick(time.Duration(min)*time.Minute, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		return c.ReportEpoch() != before
+	}
+	c := testCluster(t, 4)
+	inj := NewInjector(&Plan{Crashes: []Crash{{Server: 1, AtMin: 1, RepairAfterMin: 2}}}, c, &stubHost{}, nil)
+	if tick(inj, c, 1) {
+		t.Fatal("a crash moved the report epoch")
+	}
+	if !tick(inj, c, 3) {
+		t.Fatal("a repair left the report epoch unchanged")
+	}
+	c = testCluster(t, 4)
+	plan := &Plan{Byzantine: []ByzantineFault{{Server: 2, Kind: ByzMelt, StartMin: 1, Bias: 0.2, Jitter: 0.1}}}
+	inj = NewInjector(plan, c, &stubHost{}, nil)
+	if !tick(inj, c, 2) {
+		t.Fatal("a Byzantine refresh left the report epoch unchanged")
+	}
+}

@@ -21,9 +21,9 @@ import (
 //   - implicit or explicit conversions to interface types (boxing);
 //   - function/method values used as values (capturing may allocate);
 //   - calls to static callees that are not themselves //vmt:hotpath,
-//     except a small allowlist of known-inlined leaves (the math
-//     package, time.Duration's arithmetic methods) and the alloc-free
-//     builtins (len/cap/copy/min/max).
+//     except a small allowlist of known-inlined leaves (the math and
+//     math/bits packages, time.Duration's arithmetic methods) and the
+//     alloc-free builtins (len/cap/copy/min/max).
 //
 // Dynamic calls — through func-typed variables, parameters, fields, or
 // interface methods — are permitted: they are how the kernels take
@@ -247,8 +247,9 @@ func (c *hotpathCheck) calleeObject(fun ast.Expr) types.Object {
 // staticCalleeOK reports whether a hotpath function may call fn:
 // interface methods (dynamic dispatch, checked at the implementation),
 // module-local functions marked //vmt:hotpath, and the external
-// known-inlined allowlist — all of package math, and time.Duration's
-// pure-arithmetic methods.
+// known-inlined allowlist — all of packages math and math/bits (the
+// latter are compiler intrinsics), and time.Duration's pure-arithmetic
+// methods.
 func (c *hotpathCheck) staticCalleeOK(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
@@ -272,7 +273,7 @@ func (c *hotpathCheck) staticCalleeOK(fn *types.Func) bool {
 	if mi.known(pkg.Path()) {
 		return mi.hotpathDecl(fn) != nil
 	}
-	return pkg.Path() == "math"
+	return pkg.Path() == "math" || pkg.Path() == "math/bits"
 }
 
 func (c *hotpathCheck) checkCallArgs(call *ast.CallExpr) {

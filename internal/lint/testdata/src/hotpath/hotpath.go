@@ -6,6 +6,7 @@ package hotpath
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -16,14 +17,15 @@ func plain() float64 { return 42 }
 //vmt:hotpath
 func leaf(x float64) float64 { return x + 1 }
 
-// Negatives: marked module-local callees, the math allowlist, dynamic
-// calls through parameters, time.Duration arithmetic, alloc-free
-// builtins, and fixed-size arrays are all fine.
+// Negatives: marked module-local callees, the math and math/bits
+// allowlist, dynamic calls through parameters, time.Duration
+// arithmetic, alloc-free builtins, and fixed-size arrays are all fine.
 //
 //vmt:hotpath
 func okCalls(xs []float64, d time.Duration, f func(float64) float64) float64 {
 	y := leaf(xs[0])
 	y += math.Sqrt(y)
+	y += float64(bits.OnesCount64(uint64(len(xs))))
 	y += f(y)
 	y += d.Seconds()
 	if len(xs) > 1 {

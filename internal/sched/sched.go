@@ -45,20 +45,26 @@ var ErrNoJob = fmt.Errorf("sched: no job of requested workload")
 // fleet (a shared cursor would phase-lock workloads onto disjoint
 // server stripes and manufacture thermal imbalance round robin does
 // not have in practice). Removals cycle independently so load stays
-// even as it falls.
+// even as it falls. The cursors are indexed by the cluster's workload
+// registry index, so a decision costs no hash of the Workload struct.
 type RoundRobin struct {
 	c         *cluster.Cluster
-	placeCur  map[workload.Workload]int
-	removeCur map[workload.Workload]int
+	placeCur  []int
+	removeCur []int
 }
 
 // NewRoundRobin returns a round-robin scheduler bound to c.
 func NewRoundRobin(c *cluster.Cluster) *RoundRobin {
-	return &RoundRobin{
-		c:         c,
-		placeCur:  make(map[workload.Workload]int),
-		removeCur: make(map[workload.Workload]int),
+	return &RoundRobin{c: c}
+}
+
+// cursor returns the slot for workload index wi in *curs, growing the
+// slice (new workloads start at server 0) on first use.
+func cursor(curs *[]int, wi int) *int {
+	for len(*curs) <= wi {
+		*curs = append(*curs, 0)
 	}
+	return &(*curs)[wi]
 }
 
 // Name implements Scheduler.
@@ -71,11 +77,11 @@ func (r *RoundRobin) Tick(time.Duration) {}
 // with a free core.
 func (r *RoundRobin) Place(w workload.Workload) (*cluster.Server, error) {
 	n := r.c.Len()
-	cur := r.placeCur[w]
+	cur := cursor(&r.placeCur, r.c.WorkloadIndex(w))
 	for i := 0; i < n; i++ {
-		s := r.c.Server((cur + i) % n)
+		s := r.c.Server((*cur + i) % n)
 		if s.FreeCores() > 0 {
-			r.placeCur[w] = (s.ID() + 1) % n
+			*cur = (s.ID() + 1) % n
 			return s, nil
 		}
 	}
@@ -87,11 +93,11 @@ func (r *RoundRobin) Place(w workload.Workload) (*cluster.Server, error) {
 func (r *RoundRobin) SelectRemoval(w workload.Workload) (*cluster.Server, error) {
 	n := r.c.Len()
 	wi := r.c.WorkloadIndex(w)
-	cur := r.removeCur[w]
+	cur := cursor(&r.removeCur, wi)
 	for i := 0; i < n; i++ {
-		s := r.c.Server((cur + i) % n)
+		s := r.c.Server((*cur + i) % n)
 		if s.JobsAt(wi) > 0 {
-			r.removeCur[w] = (s.ID() + 1) % n
+			*cur = (s.ID() + 1) % n
 			return s, nil
 		}
 	}

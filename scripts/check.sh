@@ -36,8 +36,14 @@ go test -short -count=1 \
     -run 'TestGolden|Property|BitIdentical' \
     . ./internal/pcm/ ./internal/thermal/ ./internal/cluster/
 
-echo "== differential oracle (SoA fleet vs scalar Node.Step, bit-exact)"
+echo "== differential oracle (SoA fleet vs scalar Node.Step, bit-exact; occupancy index vs linear scans)"
 go test -count=1 -run 'TestFleetOracle|TestFleetVecKernel' ./internal/thermal/
+# Every index-backed VMT choice replayed with the scan it replaced,
+# under faults, quarantine and overrides; the index rows against a
+# rebuild from server state; the wrapping first-set-bit helper.
+go test -count=1 -run 'TestIndexMatchesScanUnderChurn' ./internal/core/
+go test -count=1 -run 'TestOccupancyIndexProperty' ./internal/cluster/
+go test -count=1 -run 'TestFirstWrap' ./internal/bitset/
 
 echo "== spec round-trip (encode -> decode -> execute)"
 go test -count=1 -run 'TestSpecRoundTripExecute|TestSpecJSONRoundTrip' \
@@ -121,6 +127,30 @@ fi
 if ! grep -q "internal/thermal/fleet.go:$mutline: \[kernelparity\].*diverges from oracle" "$tmp/kernel.out"; then
     echo "kernelparity did not pinpoint the mutated line $mutline:" >&2
     cat "$tmp/kernel.out" >&2
+    exit 1
+fi
+
+echo "== churn oracle self-check (a reversed tie-break is caught)"
+# Reverse FirstWrap's rotated order in a scratch copy and demand the
+# churn oracle fail: the index must not be able to drift from the
+# scans' rotating tie-break unseen.
+oraclemut="$tmp/oraclemut"
+mkdir -p "$oraclemut"
+tar cf - --exclude ./.git --exclude ./.vmtlint-cache --exclude ./.bench_build \
+    --exclude ./results --exclude ./vmt.test . | (cd "$oraclemut" && tar xf -)
+awk '/^func \(q \*And\) FirstWrap/ { inside = 1 }
+    inside && /q\.Next\(start, hi\); i >= 0/ { sub(/q\.Next\(start, hi\)/, "q.Next(lo, start)"); print; next }
+    inside && /^\treturn q\.Next\(lo, start\)/ { sub(/q\.Next\(lo, start\)/, "q.Next(start, hi)"); inside = 0 }
+    { print }' internal/bitset/bitset.go > "$oraclemut/internal/bitset/bitset.go"
+if cmp -s internal/bitset/bitset.go "$oraclemut/internal/bitset/bitset.go"; then
+    echo "churn oracle self-check: FirstWrap mutation did not apply" >&2
+    exit 1
+fi
+status=0
+(cd "$oraclemut" && go test -count=1 -run 'TestIndexMatchesScanUnderChurn' ./internal/core/) > "$tmp/oracle.out" 2>&1 || status=$?
+if [ "$status" -eq 0 ] || ! grep -q 'index chose' "$tmp/oracle.out"; then
+    echo "churn oracle passed with a reversed tie-break (exit $status):" >&2
+    cat "$tmp/oracle.out" >&2
     exit 1
 fi
 
