@@ -11,7 +11,6 @@ import (
 	"vmt/internal/experiment"
 	"vmt/internal/fault"
 	"vmt/internal/pcm"
-	"vmt/internal/stats"
 	"vmt/internal/thermal"
 	"vmt/internal/trace"
 	"vmt/internal/workload"
@@ -157,24 +156,17 @@ func resultFingerprint(v any) uint64 {
 		h ^= u
 		h *= prime
 	}
-	series := func(s *stats.Series) {
+	for _, row := range runSeries {
+		s := *row.field(r)
 		if s == nil {
 			mix(0)
-			return
+			continue
 		}
 		mix(uint64(len(s.Values)))
 		for _, x := range s.Values {
 			mix(math.Float64bits(x))
 		}
 	}
-	series(r.CoolingLoadW)
-	series(r.TotalPowerW)
-	series(r.MeanAirTempC)
-	series(r.HotGroupTempC)
-	series(r.HotGroupSize)
-	series(r.MeanMeltFrac)
-	series(r.WaxEnergyJ)
-	series(r.MaxCPUTempC)
 	mix(uint64(r.ThrottleMinutes))
 	mix(r.TaskArrivals)
 	mix(r.TaskDrops)

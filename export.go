@@ -48,18 +48,11 @@ func (r *Result) WriteJSON(w io.Writer) error {
 		AirTempGrid:  r.AirTempGrid,
 		MeltFracGrid: r.MeltFracGrid,
 	}
-	add := func(name string, s *stats.Series) {
-		if s != nil {
-			out.Series[name] = s.Values
+	for _, row := range runSeries {
+		if s := *row.field(r); s != nil {
+			out.Series[row.name] = s.Values
 		}
 	}
-	add("cooling_load_w", r.CoolingLoadW)
-	add("total_power_w", r.TotalPowerW)
-	add("mean_air_temp_c", r.MeanAirTempC)
-	add("hot_group_temp_c", r.HotGroupTempC)
-	add("hot_group_size", r.HotGroupSize)
-	add("mean_melt_frac", r.MeanMeltFrac)
-	add("wax_energy_j", r.WaxEnergyJ)
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
 }
@@ -77,13 +70,6 @@ func ReadResultJSON(r io.Reader) (*Result, error) {
 		return nil, fmt.Errorf("vmt: result has non-positive step")
 	}
 	step := time.Duration(in.StepSeconds * float64(time.Second))
-	mk := func(name string) *stats.Series {
-		vals, ok := in.Series[name]
-		if !ok {
-			return nil
-		}
-		return &stats.Series{Start: step, Step: step, Values: vals}
-	}
 	res := &Result{
 		Config: Config{
 			Policy:       in.Policy,
@@ -95,17 +81,15 @@ func ReadResultJSON(r io.Reader) (*Result, error) {
 			InletTempC:   Some(in.InletTempC),
 			InletStdevC:  in.InletStdevC,
 		},
-		CoolingLoadW:  mk("cooling_load_w"),
-		TotalPowerW:   mk("total_power_w"),
-		MeanAirTempC:  mk("mean_air_temp_c"),
-		HotGroupTempC: mk("hot_group_temp_c"),
-		HotGroupSize:  mk("hot_group_size"),
-		MeanMeltFrac:  mk("mean_melt_frac"),
-		WaxEnergyJ:    mk("wax_energy_j"),
-		AirTempGrid:   in.AirTempGrid,
-		MeltFracGrid:  in.MeltFracGrid,
-		TaskArrivals:  in.TaskArrivals,
-		TaskDrops:     in.TaskDrops,
+		AirTempGrid:  in.AirTempGrid,
+		MeltFracGrid: in.MeltFracGrid,
+		TaskArrivals: in.TaskArrivals,
+		TaskDrops:    in.TaskDrops,
+	}
+	for _, row := range runSeries {
+		if vals, ok := in.Series[row.name]; ok {
+			*row.field(res) = &stats.Series{Start: step, Step: step, Values: vals}
+		}
 	}
 	if res.CoolingLoadW == nil {
 		return nil, fmt.Errorf("vmt: result missing cooling_load_w series")

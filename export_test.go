@@ -2,9 +2,12 @@ package vmt
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"vmt/internal/stats"
 	"vmt/internal/trace"
 )
 
@@ -27,16 +30,26 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	if back.Config.Policy != PolicyVMTTA || back.Config.Servers != 4 || back.Config.GV != 22 {
 		t.Fatalf("config fields lost: %+v", back.Config)
 	}
-	if back.CoolingLoadW.Len() != res.CoolingLoadW.Len() {
-		t.Fatal("series length lost")
-	}
-	for i, v := range res.CoolingLoadW.Values {
-		if back.CoolingLoadW.Values[i] != v {
-			t.Fatalf("cooling value %d changed", i)
+	// Every *stats.Series field of Result round-trips bit for bit.
+	rv, bv := reflect.ValueOf(res).Elem(), reflect.ValueOf(back).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		x, ok := rv.Field(i).Interface().(*stats.Series)
+		if !ok {
+			continue
 		}
-	}
-	if back.HotGroupTempC == nil {
-		t.Fatal("hot group series lost")
+		name := rv.Type().Field(i).Name
+		y := bv.Field(i).Interface().(*stats.Series)
+		if x == nil || y == nil {
+			t.Fatalf("%s: present before the round trip %v, after %v", name, x != nil, y != nil)
+		}
+		if x.Len() != y.Len() {
+			t.Fatalf("%s: %d samples before the round trip, %d after", name, x.Len(), y.Len())
+		}
+		for k := range x.Values {
+			if math.Float64bits(x.Values[k]) != math.Float64bits(y.Values[k]) {
+				t.Fatalf("%s[%d] changed: %v -> %v", name, k, x.Values[k], y.Values[k])
+			}
+		}
 	}
 	if back.PeakCoolingW() != res.PeakCoolingW() {
 		t.Fatal("peak changed across round trip")

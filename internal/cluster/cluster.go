@@ -302,9 +302,6 @@ type Sample struct {
 	// CoolingLoadW is the aggregate heat ejected to the room — what
 	// the cooling system must remove right now.
 	CoolingLoadW float64
-	// WaxFlowW is the aggregate heat flow into wax (negative while
-	// stored heat is being released).
-	WaxFlowW float64
 	// MeanAirTempC and MeanMeltFrac summarize the fleet.
 	MeanAirTempC float64
 	MeanMeltFrac float64
@@ -363,7 +360,6 @@ func (c *Cluster) Step(dt time.Duration) (Sample, error) {
 		pw := c.stepPow[i]
 		sample.TotalPowerW += pw
 		sample.CoolingLoadW += v.CoolingLoadW[i]
-		sample.WaxFlowW += v.WaxFlowW[i]
 		c.airBuf[i] = air
 		c.meltBuf[i] = melt
 		sumAir += air

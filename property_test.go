@@ -1,35 +1,50 @@
 package vmt
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 	"time"
-
-	"vmt/internal/stats"
 )
 
 // identicalSeries reports the first bit-level divergence between two
-// result series sets, or "" if every sample matches exactly.
+// results, "" when there is none: every runSeries row (recorded in
+// both or in neither) and every scalar outcome.
 func identicalSeries(a, b *Result) string {
-	pairs := []struct {
-		name string
-		x, y *stats.Series
-	}{
-		{"cooling", a.CoolingLoadW, b.CoolingLoadW},
-		{"power", a.TotalPowerW, b.TotalPowerW},
-		{"air", a.MeanAirTempC, b.MeanAirTempC},
-		{"melt", a.MeanMeltFrac, b.MeanMeltFrac},
-		{"wax_energy", a.WaxEnergyJ, b.WaxEnergyJ},
-	}
-	for _, p := range pairs {
-		if p.x.Len() != p.y.Len() {
-			return p.name + ": length mismatch"
+	for _, row := range runSeries {
+		x, y := *row.field(a), *row.field(b)
+		if (x == nil) != (y == nil) {
+			return row.name + ": recorded in one result only"
 		}
-		for i := range p.x.Values {
-			if math.Float64bits(p.x.Values[i]) != math.Float64bits(p.y.Values[i]) {
-				return p.name + ": diverged"
+		if x == nil {
+			continue
+		}
+		if x.Len() != y.Len() {
+			return fmt.Sprintf("%s: length %d vs %d", row.name, x.Len(), y.Len())
+		}
+		for i := range x.Values {
+			if math.Float64bits(x.Values[i]) != math.Float64bits(y.Values[i]) {
+				return fmt.Sprintf("%s[%d]: %v vs %v", row.name, i, x.Values[i], y.Values[i])
 			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		x, y uint64
+	}{
+		{"throttle_minutes", uint64(a.ThrottleMinutes), uint64(b.ThrottleMinutes)},
+		{"task_arrivals", a.TaskArrivals, b.TaskArrivals},
+		{"task_drops", a.TaskDrops, b.TaskDrops},
+		{"fault_crashes", a.FaultCrashes, b.FaultCrashes},
+		{"fault_repairs", a.FaultRepairs, b.FaultRepairs},
+		{"evacuated_jobs", a.EvacuatedJobs, b.EvacuatedJobs},
+		{"lost_jobs", a.LostJobs, b.LostJobs},
+		{"domain_trips", a.DomainTrips, b.DomainTrips},
+		{"reports_quarantined", a.ReportsQuarantined, b.ReportsQuarantined},
+	} {
+		if c.x != c.y {
+			return fmt.Sprintf("%s: %d vs %d", c.name, c.x, c.y)
 		}
 	}
 	return ""

@@ -68,6 +68,14 @@ go test -race ./internal/thermal/ \
 go test -race . -run 'TestRunMany|TestInstrumented|TestDefaultObservers|TestDefaultObservability|TestPhysicsWorkers|TestFaultRunBitIdentical|TestCorrelatedFault|TestCacheCorruptionQuarantine|TestStreamMemoryIsBounded|TestSession' -count=1
 go test -race ./internal/workload/ -count=1
 
+# scratch_copy DIR copies the working tree into DIR for a mutation
+# self-check, leaving out VCS data, caches and build outputs.
+scratch_copy() {
+    mkdir -p "$1"
+    tar cf - --exclude ./.git --exclude ./.vmtlint-cache --exclude ./.bench_build \
+        --exclude ./results --exclude ./vmt.test . | (cd "$1" && tar xf -)
+}
+
 echo "== vmtdiff self-check (determinism, end to end)"
 # Two identical runs must diff clean; a one-value mutation must be
 # pinpointed at its exact tick with exit status 1.
@@ -110,9 +118,7 @@ echo "== kernelparity self-check (one-token kernel drift is pinpointed)"
 # kernelparity fail the build naming the exact divergent position —
 # the guarantee the scalar/SoA bit-identity story rests on.
 mutdir="$tmp/kernelmut"
-mkdir -p "$mutdir"
-tar cf - --exclude ./.git --exclude ./.vmtlint-cache --exclude ./results \
-    --exclude ./vmt.test . | (cd "$mutdir" && tar xf -)
+scratch_copy "$mutdir"
 awk '!done && sub(/toWax \* subSec/, "toRoom * subSec") { done = 1 } { print }' \
     internal/thermal/fleet.go > "$mutdir/internal/thermal/fleet.go"
 mutline=$(grep -n 'toRoom \* subSec' "$mutdir/internal/thermal/fleet.go" | head -1 | cut -d: -f1)
@@ -135,9 +141,7 @@ echo "== churn oracle self-check (a reversed tie-break is caught)"
 # churn oracle fail: the index must not be able to drift from the
 # scans' rotating tie-break unseen.
 oraclemut="$tmp/oraclemut"
-mkdir -p "$oraclemut"
-tar cf - --exclude ./.git --exclude ./.vmtlint-cache --exclude ./.bench_build \
-    --exclude ./results --exclude ./vmt.test . | (cd "$oraclemut" && tar xf -)
+scratch_copy "$oraclemut"
 awk '/^func \(q \*And\) FirstWrap/ { inside = 1 }
     inside && /q\.Next\(start, hi\); i >= 0/ { sub(/q\.Next\(start, hi\)/, "q.Next(lo, start)"); print; next }
     inside && /^\treturn q\.Next\(lo, start\)/ { sub(/q\.Next\(lo, start\)/, "q.Next(start, hi)"); inside = 0 }

@@ -51,12 +51,12 @@ type Session struct {
 	now        time.Duration
 	next       int64 // the next tick to run; tick k runs at k×step
 	lastSample cluster.Sample
+	rec        [len(runSeries)]float64 // the tick's runSeries values, set by the sample band
 	runErr     error
 	closed     bool
 
 	// Instruments, resolved once so the bands do no map lookups; nil
-	// ones no-op. series streams cooling, power, air, melt, max CPU
-	// and (grouping policies only) hot-group size.
+	// ones no-op. streams[i] is runSeries[i]'s window sampler.
 	tracer     telemetry.Tracer
 	wall0      time.Time                 // span wall-clock origin
 	bands      [numBands]*telemetry.Band // nil when the run is uninstrumented
@@ -65,7 +65,7 @@ type Session struct {
 	abovePMT   *telemetry.Counter
 	settled    *telemetry.Gauge
 	meltHist   *telemetry.Histogram
-	series     [6]*telemetry.TimeSeries
+	streams    [len(runSeries)]*telemetry.TimeSeries
 }
 
 // The per-tick bands, in run order.
@@ -79,6 +79,67 @@ const (
 )
 
 var bandNames = [numBands]string{"physics", "fault", "guard", "schedule", "sample"}
+
+// seriesRow is one per-tick series of a run: its export, stream and
+// span name, whether only a grouping policy records it, its Result
+// field, and its value from the tick's sample and hot-group size.
+type seriesRow struct {
+	name    string
+	grouped bool
+	field   func(*Result) **stats.Series
+	value   func(smp *cluster.Sample, hot int) float64
+}
+
+// runSeries is the one list of a run's per-tick series, in Result
+// field order; every per-tick output walks it (see DESIGN.md). A row
+// is recorded exactly when its Result series is non-nil.
+var runSeries = [...]seriesRow{
+	{name: "cooling_load_w",
+		field: func(r *Result) **stats.Series { return &r.CoolingLoadW },
+		value: func(smp *cluster.Sample, _ int) float64 { return smp.CoolingLoadW }},
+	{name: "total_power_w",
+		field: func(r *Result) **stats.Series { return &r.TotalPowerW },
+		value: func(smp *cluster.Sample, _ int) float64 { return smp.TotalPowerW }},
+	{name: "mean_air_temp_c",
+		field: func(r *Result) **stats.Series { return &r.MeanAirTempC },
+		value: func(smp *cluster.Sample, _ int) float64 { return smp.MeanAirTempC }},
+	{name: "hot_group_temp_c", grouped: true,
+		field: func(r *Result) **stats.Series { return &r.HotGroupTempC },
+		value: hotGroupTempC},
+	{name: "hot_group_size", grouped: true,
+		field: func(r *Result) **stats.Series { return &r.HotGroupSize },
+		value: func(_ *cluster.Sample, hot int) float64 { return float64(hot) }},
+	{name: "mean_melt_frac",
+		field: func(r *Result) **stats.Series { return &r.MeanMeltFrac },
+		value: func(smp *cluster.Sample, _ int) float64 { return smp.MeanMeltFrac }},
+	// The cluster accumulates the fleet wax ledger during its own
+	// ID-order reduction.
+	{name: "wax_energy_j",
+		field: func(r *Result) **stats.Series { return &r.WaxEnergyJ },
+		value: func(smp *cluster.Sample, _ int) float64 { return smp.WaxEnergyJ }},
+	{name: "max_cpu_temp_c",
+		field: func(r *Result) **stats.Series { return &r.MaxCPUTempC },
+		value: func(smp *cluster.Sample, _ int) float64 { return smp.MaxCPUTempC }},
+}
+
+// The runSeries rows the fleet snapshot reads for its aggregates.
+const (
+	rowCoolingLoad = 0
+	rowTotalPower  = 1
+)
+
+// hotGroupTempC is the mean air temperature of the hot group, which
+// holds servers 0..hot-1; with an empty hot group it is the fleet mean.
+func hotGroupTempC(smp *cluster.Sample, hot int) float64 {
+	if hot == 0 {
+		return smp.MeanAirTempC
+	}
+	var sum float64
+	for _, t := range smp.AirTempC[:hot] {
+		sum += t
+	}
+	return sum / float64(hot)
+}
 
 // Observation is a read-only snapshot of a session between steps —
 // the observe half of the step/observe seam. Aggregates mirror the
@@ -249,25 +310,8 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 	if horizon > 0 {
 		nSamples = int(horizon / cfg.Step)
 	}
-	newSeries := func() *stats.Series {
-		sr := stats.NewSeriesCap(cfg.Step, nSamples)
-		sr.Start = cfg.Step
-		return sr
-	}
-	res := &Result{
-		Config:       cfg,
-		CoolingLoadW: newSeries(),
-		TotalPowerW:  newSeries(),
-		MeanAirTempC: newSeries(),
-		MeanMeltFrac: newSeries(),
-		WaxEnergyJ:   newSeries(),
-		MaxCPUTempC:  newSeries(),
-	}
+	res := &Result{Config: cfg}
 	grouper, hasGroups := scheduler.(hotGrouper)
-	if hasGroups {
-		res.HotGroupTempC = newSeries()
-		res.HotGroupSize = newSeries()
-	}
 
 	s := &Session{
 		cfg:        cfg,
@@ -294,11 +338,14 @@ func OpenCtx(ctx context.Context, cfg Config) (*Session, error) {
 		settled:  cfg.Metrics.Gauge("cluster_settled_servers"),
 		meltHist: cfg.Metrics.Histogram("pcm_melt_frac", telemetry.LinearBounds(0, 1, 10)...),
 	}
-	for i, name := range []string{"cooling_load_w", "total_power_w", "mean_air_temp_c", "mean_melt_frac", "max_cpu_temp_c"} {
-		s.series[i] = cfg.Stream.Series(name)
-	}
-	if hasGroups {
-		s.series[5] = cfg.Stream.Series("hot_group_size")
+	for i, row := range runSeries {
+		if row.grouped && !hasGroups {
+			continue
+		}
+		sr := stats.NewSeriesCap(cfg.Step, nSamples)
+		sr.Start = cfg.Step
+		*row.field(res) = sr
+		s.streams[i] = cfg.Stream.Series(row.name)
 	}
 	var profiler *telemetry.BandProfiler
 	if cfg.ProfileBands {
@@ -381,42 +428,26 @@ func (s *Session) runBand(b int, now time.Duration, fn func(time.Duration) error
 	t0 := band.Begin() //vmtlint:allow detrand observational: band wall/alloc deltas feed telemetry only
 	s.fail(fn(now))
 	wall, alloc := band.End() //vmtlint:allow detrand observational: band wall/alloc deltas feed telemetry only
-	if s.tracer != nil {
-		s.tracer.Emit(telemetry.SpanEvent{
-			Name:       bandNames[b],
-			At:         now,
-			WallStart:  t0.Sub(s.wall0),
-			Wall:       time.Duration(wall),
-			AllocBytes: alloc,
-			Args:       s.spanArgs(b),
-		})
+	if s.tracer == nil {
+		return
 	}
-}
-
-// spanArgs returns the gauges a band's span samples at close.
-func (s *Session) spanArgs(b int) map[string]float64 {
-	last := s.lastSample
-	switch b {
-	case bandPhysics:
-		return map[string]float64{
-			"cooling_load_w":  last.CoolingLoadW,
-			"mean_air_temp_c": last.MeanAirTempC,
-			"mean_melt_frac":  last.MeanMeltFrac,
+	var args map[string]float64 // the sample span carries the tick's record
+	if b == bandSample {
+		args = make(map[string]float64, len(runSeries))
+		for i, row := range runSeries {
+			if *row.field(s.res) != nil {
+				args[row.name] = s.rec[i]
+			}
 		}
-	case bandSchedule:
-		args := map[string]float64{"total_power_w": last.TotalPowerW}
-		if s.hasGroups {
-			args["hot_group_size"] = float64(s.grouper.HotGroupSize())
-		}
-		return args
-	case bandSample:
-		args := map[string]float64{"max_cpu_temp_c": last.MaxCPUTempC}
-		if n := s.res.WaxEnergyJ.Len(); n > 0 {
-			args["wax_energy_j"] = s.res.WaxEnergyJ.Values[n-1]
-		}
-		return args
 	}
-	return nil
+	s.tracer.Emit(telemetry.SpanEvent{
+		Name:       bandNames[b],
+		At:         now,
+		WallStart:  t0.Sub(s.wall0),
+		Wall:       time.Duration(wall),
+		AllocBytes: alloc,
+		Args:       args,
+	})
 }
 
 // physics advances the cluster by one period.
@@ -464,30 +495,18 @@ func (s *Session) sample(now time.Duration) error {
 			}
 		}
 	}
-	res.CoolingLoadW.Append(last.CoolingLoadW)
-	res.TotalPowerW.Append(last.TotalPowerW)
-	res.MeanAirTempC.Append(last.MeanAirTempC)
-	res.MeanMeltFrac.Append(last.MeanMeltFrac)
-	res.MaxCPUTempC.Append(last.MaxCPUTempC)
-	if last.ThrottlingServers > 0 {
-		res.ThrottleMinutes++
-	}
-	// The cluster accumulates the fleet wax ledger during its own
-	// reduction (same ID-order sum this loop used to run).
-	res.WaxEnergyJ.Append(last.WaxEnergyJ)
 	hot := 0
 	if s.hasGroups {
 		hot = s.grouper.HotGroupSize()
-		res.HotGroupSize.Append(float64(hot))
-		var sum float64
-		for i := 0; i < hot; i++ {
-			sum += last.AirTempC[i]
+	}
+	for i, row := range runSeries {
+		if out := *row.field(res); out != nil {
+			s.rec[i] = row.value(&s.lastSample, hot)
+			out.Append(s.rec[i])
 		}
-		if hot > 0 {
-			res.HotGroupTempC.Append(sum / float64(hot))
-		} else {
-			res.HotGroupTempC.Append(last.MeanAirTempC)
-		}
+	}
+	if last.ThrottlingServers > 0 {
+		res.ThrottleMinutes++
 	}
 	if s.cfg.RecordGrids {
 		res.AirTempGrid = append(res.AirTempGrid, append([]float64(nil), last.AirTempC...))
@@ -496,13 +515,9 @@ func (s *Session) sample(now time.Duration) error {
 	// Streamed telemetry: one observation per series per tick, fed
 	// into the bounded-memory window samplers. Ticks are 1-based
 	// (the first sample lands after one elapsed step).
-	if s.cfg.Stream == nil && s.cfg.Fleet == nil {
-		return nil
-	}
 	tick := int64(now / s.step)
-	for i, v := range [...]float64{last.CoolingLoadW, last.TotalPowerW, last.MeanAirTempC,
-		last.MeanMeltFrac, last.MaxCPUTempC, float64(hot)} {
-		s.series[i].Observe(tick, v)
+	for i, ts := range s.streams {
+		ts.Observe(tick, s.rec[i])
 	}
 	if s.cfg.Fleet == nil {
 		return nil
@@ -512,8 +527,8 @@ func (s *Session) sample(now time.Duration) error {
 	snap := &telemetry.FleetSnapshot{
 		Tick:         tick,
 		SimNS:        int64(now),
-		CoolingLoadW: last.CoolingLoadW,
-		TotalPowerW:  last.TotalPowerW,
+		CoolingLoadW: s.rec[rowCoolingLoad],
+		TotalPowerW:  s.rec[rowTotalPower],
 		Servers:      make([]telemetry.ServerState, len(last.AirTempC)),
 	}
 	for i := range snap.Servers {

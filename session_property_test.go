@@ -101,8 +101,8 @@ func TestSessionSteppedBitIdenticalToRun(t *testing.T) {
 	}
 }
 
-// Hot-group series (absent from identicalSeries' five core series)
-// carry the same guarantee for the grouping policies.
+// The grouping policies carry the same guarantee, hot-group series
+// included.
 func TestSessionSteppedHotGroupBitIdentical(t *testing.T) {
 	cfg := Scenario(8, PolicyVMTPreserve, 24)
 	cfg.Trace = smallTrace()
@@ -112,22 +112,11 @@ func TestSessionSteppedHotGroupBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := stepSession(t, cfg, []int{5, 1, 3})
-	for _, pair := range []struct {
-		name string
-		x, y []float64
-	}{
-		{"hot_group_temp", ref.HotGroupTempC.Values, got.HotGroupTempC.Values},
-		{"hot_group_size", ref.HotGroupSize.Values, got.HotGroupSize.Values},
-		{"max_cpu", ref.MaxCPUTempC.Values, got.MaxCPUTempC.Values},
-	} {
-		if len(pair.x) != len(pair.y) {
-			t.Fatalf("%s: length mismatch %d vs %d", pair.name, len(pair.x), len(pair.y))
-		}
-		for i := range pair.x {
-			if pair.x[i] != pair.y[i] { //vmtlint:allow floateq bit-identity assertion: stepped must equal monolithic exactly
-				t.Fatalf("%s diverged at sample %d", pair.name, i)
-			}
-		}
+	if ref.HotGroupSize == nil {
+		t.Fatal("VMT-Preserve recorded no hot-group series")
+	}
+	if d := identicalSeries(ref, got); d != "" {
+		t.Fatal(d)
 	}
 }
 

@@ -2,10 +2,12 @@ package vmt
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"vmt/internal/stats"
 	"vmt/internal/telemetry"
 	"vmt/internal/trace"
 	"vmt/internal/workload"
@@ -16,6 +18,44 @@ func sessionConfig() Config {
 	cfg.Trace = smallTrace()
 	cfg.Step = 2 * time.Minute
 	return cfg
+}
+
+// Every *stats.Series field of Result is named by exactly one
+// runSeries row, under a unique name, so no output that walks the
+// table (export, stream, span, fingerprint, identicalSeries) can miss
+// a series.
+func TestRunSeriesCoversResult(t *testing.T) {
+	r := &Result{}
+	rows := map[**stats.Series][]string{}
+	names := map[string]bool{}
+	for _, row := range runSeries {
+		if names[row.name] {
+			t.Errorf("series name %q is used twice", row.name)
+		}
+		names[row.name] = true
+		p := row.field(r)
+		rows[p] = append(rows[p], row.name)
+	}
+	rv := reflect.ValueOf(r).Elem()
+	fields := 0
+	for i := 0; i < rv.NumField(); i++ {
+		p, ok := rv.Field(i).Addr().Interface().(**stats.Series)
+		if !ok {
+			continue
+		}
+		fields++
+		if n := len(rows[p]); n != 1 {
+			t.Errorf("Result.%s appears in %d runSeries rows %v, want 1", rv.Type().Field(i).Name, n, rows[p])
+		}
+	}
+	if fields != len(runSeries) {
+		t.Errorf("runSeries has %d rows for %d Result series", len(runSeries), fields)
+	}
+	for row, want := range map[int]string{rowCoolingLoad: "cooling_load_w", rowTotalPower: "total_power_w"} {
+		if runSeries[row].name != want {
+			t.Errorf("runSeries[%d] is %q, want %q", row, runSeries[row].name, want)
+		}
+	}
 }
 
 func TestSessionStepToCompletionMatchesRun(t *testing.T) {

@@ -153,14 +153,15 @@ type Config struct {
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, receives one span event per band per tick
 	// (physics, schedule, sample, plus fault and guard with a fault
-	// plan) with wall-clock timings and key gauges; export via telemetry.Recorder as JSONL
-	// or Chrome trace_event JSON. Nil disables tracing at (near) zero
-	// cost.
+	// plan) with wall-clock timings; the sample span's args hold the
+	// tick's value of every recorded Result series. Export via
+	// telemetry.Recorder as JSONL or Chrome trace_event JSON. Nil
+	// disables tracing at (near) zero cost.
 	Tracer telemetry.Tracer
 	// Stream, when non-nil, receives windowed time-series telemetry:
-	// each sample tick feeds cooling_load_w, total_power_w,
-	// mean_air_temp_c, mean_melt_frac, max_cpu_temp_c (and
-	// hot_group_size for grouping policies) into bounded-memory
+	// each sample tick feeds every recorded Result series, under its
+	// export name (cooling_load_w, …; the hot-group series for
+	// grouping policies only), into bounded-memory
 	// samplers that aggregate fixed windows of ticks into
 	// min/max/mean/p99 and hand each sealed window to the stream's sink
 	// the moment it closes — telemetry that is on disk while the run is
